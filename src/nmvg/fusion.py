@@ -32,6 +32,7 @@ from .tensor import (
     ConvParams,
     FeatureMap,
     ShapeError,
+    _grouped_matmul,
     _sigmoid,
     conv2d,
     global_avg_pool,
@@ -93,7 +94,10 @@ class DeformParams:
 def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     """Deformable 2-D conv with bilinear sampling; out-of-bounds reads zero.
 
-    With an all-zero offset predictor this reduces to conv2d(x, p.main).
+    The bilinear samples for the whole batch are gathered into float64
+    im2col columns (N, C_in, k_h*k_w, H_out*W_out), which go through the
+    same grouped float64 contraction as ``conv2d``'s dense path.  With an
+    all-zero offset predictor this reduces to conv2d(x, p.main).
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4:
@@ -115,44 +119,29 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     ky, kx = np.unravel_index(np.arange(taps), (kh, kw))
     base_y = (np.arange(ho) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
     base_x = (np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]
-    k64 = main.kernel.astype(np.float64)
-    outs = []
-    for i in range(n):
-        py = base_y + off[i, :, 0]
-        px = base_x + off[i, :, 1]
-        y0 = np.floor(py).astype(np.int64)
-        x0 = np.floor(px).astype(np.int64)
-        wy = py - y0
-        wx = px - x0
-        flat = x[i].reshape(c_in, h * w).astype(np.float64)
-        col = np.zeros((c_in, taps, ho, wo), dtype=np.float64)
-        for yy, xx, wgt in (
-            (y0, x0, (1 - wy) * (1 - wx)),
-            (y0, x0 + 1, (1 - wy) * wx),
-            (y0 + 1, x0, wy * (1 - wx)),
-            (y0 + 1, x0 + 1, wy * wx),
-        ):
-            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            idx = np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)
-            vals = flat[:, idx.reshape(-1)].reshape(c_in, taps, ho, wo)
-            col += vals * (wgt * valid)
-        if main.groups == 1:
-            out_i = np.einsum("ckhw,ock->ohw", col, k64.reshape(co, c_in, taps))
-        elif main.groups == c_in:
-            mult = co // c_in
-            out_i = np.einsum("ckhw,cmk->cmhw", col, k64.reshape(c_in, mult, taps))
-            out_i = out_i.reshape(co, ho, wo)
-        else:
-            per_in = c_in // main.groups
-            per_out = co // main.groups
-            parts = []
-            for g in range(main.groups):
-                cg_cols = col[g * per_in : (g + 1) * per_in]
-                kg = k64[g * per_out : (g + 1) * per_out].reshape(per_out, per_in, taps)
-                parts.append(np.einsum("ckhw,ock->ohw", cg_cols, kg))
-            out_i = np.concatenate(parts, axis=0)
-        outs.append(out_i)
-    out = np.stack(outs)
+    # Beyond this window all four bilinear corners are out of bounds, so
+    # clamping changes no result and keeps the int cast finite.
+    py = np.clip(base_y + off[:, :, 0], -2, h + 1)
+    px = np.clip(base_x + off[:, :, 1], -2, w + 1)
+    y0 = np.floor(py).astype(np.int64)
+    x0 = np.floor(px).astype(np.int64)
+    wy = py - y0
+    wx = px - x0
+    # Start of each (sample, channel) plane: one gather serves the batch.
+    flat = x.reshape(-1)
+    planes = (np.arange(n * c_in) * (h * w)).reshape(n, c_in, 1)
+    cols = np.zeros((n, c_in, taps, ho * wo), dtype=np.float64)
+    for yy, xx, wgt in (
+        (y0, x0, (1 - wy) * (1 - wx)),
+        (y0, x0 + 1, (1 - wy) * wx),
+        (y0 + 1, x0, wy * (1 - wx)),
+        (y0 + 1, x0 + 1, wy * wx),
+    ):
+        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        idx = np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)
+        vals = flat[planes + idx.reshape(n, 1, -1)]
+        cols += vals.reshape(cols.shape) * (wgt * valid).reshape(n, 1, taps, ho * wo)
+    out = _grouped_matmul(cols, main.kernel, main.groups).reshape(n, co, ho, wo)
     if main.bias is not None:
         out = out + main.bias.astype(np.float64)[:, None, None]
     return out.astype(np.float32)

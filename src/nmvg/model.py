@@ -64,7 +64,6 @@ DEFAULT_VOCAB = (
 )
 
 _MSREP_LEVELS = (5, 4, 3)
-_BRANCH_KEYS = ("conv3.kernel", "bn3", "conv1.kernel", "bn1", "bnid")
 
 
 @dataclass(frozen=True)

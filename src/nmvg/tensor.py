@@ -3,10 +3,11 @@ pooling, resampling and edge extraction.
 
 The in-memory currency of the whole runtime is a float32 numpy array laid
 out row-major as (batch, channel, row, col).  Every function here is pure:
-inputs are never mutated and outputs are freshly allocated.  Reductions
-inside convolutions accumulate in float64 before rounding back to float32,
-which keeps results stable enough to compare against scalar reference
-loops at tight tolerances.
+inputs are never mutated and outputs are freshly allocated.  Convolutions
+take one of two paths: depthwise kernels shift-and-accumulate their taps,
+dense and grouped kernels contract im2col columns in one batched matmul.
+Both accumulate in float64 before rounding back to float32, which keeps
+results stable enough to compare against scalar reference loops.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     """Grouped 2-D cross-correlation with zero padding.
 
     Output spatial dims follow floor((H + 2*pad - k_h) / stride) + 1.
-    The reduction runs in float64 and the result is rounded to float32.
+    Depthwise kernels (``groups == C_in``, any channel multiplier) run as a
+    shift-and-accumulate: each kernel tap is a strided view of the padded
+    input, scaled per channel and added in tap order.  Dense and grouped
+    kernels run as im2col columns contracted by ``_grouped_matmul``.  Both
+    paths accumulate in float64 and round the result to float32.
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -152,28 +157,34 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     if p.padding:
         pad = p.padding
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, :: p.stride, :: p.stride]
-    k64 = p.kernel.astype(np.float64)
-    if p.groups == 1:
-        out = np.tensordot(win, k64, axes=([1, 4, 5], [1, 2, 3]))
-        out = np.moveaxis(out, 3, 1)
-    elif p.groups == c:
-        mult = co // c
-        out = np.einsum("nchwij,cmij->ncmhw", win, k64.reshape(c, mult, kh, kw))
-        out = out.reshape(n, co, out.shape[3], out.shape[4])
+    s = p.stride
+    ho = (x.shape[2] - kh) // s + 1
+    wo = (x.shape[3] - kw) // s + 1
+    taps = [x[:, :, i : i + s * ho : s, j : j + s * wo : s] for i in range(kh) for j in range(kw)]
+    if p.groups == c:
+        k64 = p.kernel.astype(np.float64).reshape(c, co // c, kh * kw, 1, 1)
+        out = np.zeros((n, c, co // c, ho, wo))
+        for t, tap in enumerate(taps):
+            out += tap[:, :, None] * k64[:, :, t]
     else:
-        per_in = c // p.groups
-        per_out = co // p.groups
-        pieces = []
-        for g in range(p.groups):
-            wg = win[:, g * per_in : (g + 1) * per_in]
-            kg = k64[g * per_out : (g + 1) * per_out]
-            og = np.tensordot(wg, kg, axes=([1, 4, 5], [1, 2, 3]))
-            pieces.append(np.moveaxis(og, 3, 1))
-        out = np.concatenate(pieces, axis=1)
+        cols = np.empty((n, c, kh * kw, ho, wo))
+        for t, tap in enumerate(taps):
+            cols[:, :, t] = tap
+        out = _grouped_matmul(cols, p.kernel, p.groups)
+    out = out.reshape(n, co, ho, wo)
     if p.bias is not None:
         out = out + p.bias.astype(np.float64)[:, None, None]
     return out.astype(np.float32)
+
+
+def _grouped_matmul(cols: np.ndarray, kernel: np.ndarray, groups: int) -> np.ndarray:
+    """One batched float64 matmul of a (C_out, C // groups, k_h, k_w) kernel
+    with im2col columns (N, C, k_h*k_w, *pixels); returns (N, C_out, pixels)."""
+    n = cols.shape[0]
+    co = kernel.shape[0]
+    k64 = kernel.astype(np.float64).reshape(groups, co // groups, -1)
+    out = np.matmul(k64, cols.reshape(n, groups, k64.shape[2], -1))
+    return out.reshape(n, co, -1)
 
 
 def batchnorm_inference(x: FeatureMap, p: BNParams) -> FeatureMap:
@@ -189,13 +200,9 @@ def batchnorm_inference(x: FeatureMap, p: BNParams) -> FeatureMap:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so neither exp() overflows for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; pick the stable form for each sign.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def activation(x: np.ndarray, kind: ActivationKind) -> np.ndarray:

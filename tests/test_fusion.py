@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,34 @@ class TestDeformConv:
             x, p.offset_conv.kernel, p.offset_conv.bias, p.main.kernel, p.main.bias
         )
         np.testing.assert_allclose(deform_conv(x, p), want, atol=1e-4)
+
+    def test_batch_equals_stacked_single_samples(self):
+        rng = np.random.default_rng(7)
+        p = _deform_params(rng, 3, offset_scale=0.7)
+        x = rng.standard_normal((3, 3, 5, 6)).astype(np.float32)
+        singles = np.concatenate([deform_conv(x[i : i + 1], p) for i in range(3)])
+        assert np.array_equal(deform_conv(x, p), singles)
+
+    def test_huge_offsets_read_zero_without_warning(self):
+        """Offsets far outside the map sample only padding, and the
+        coordinate cast stays finite (no invalid-value warning)."""
+        c = 2
+        off_b = np.full(18, 1e20, dtype=np.float32)
+        off_b[::3] = -1e20
+        main_b = np.array([0.5, -1.5], dtype=np.float32)
+        p = DeformParams(
+            offset_conv=ConvParams(
+                kernel=np.zeros((18, c, 3, 3), dtype=np.float32), bias=off_b, padding=1
+            ),
+            main=ConvParams(
+                kernel=np.ones((c, c, 3, 3), dtype=np.float32), bias=main_b, padding=1
+            ),
+        )
+        x = np.random.default_rng(8).standard_normal((1, c, 5, 5)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = deform_conv(x, p)
+        assert np.array_equal(out, np.broadcast_to(main_b[None, :, None, None], out.shape))
 
     def test_offset_channel_count_enforced(self):
         with pytest.raises(ShapeError):

@@ -56,7 +56,7 @@ class TestConv2d:
         assert np.array_equal(base[0, 1], out[0, 1])
         assert not np.array_equal(base[0, 0], out[0, 0])
 
-    @pytest.mark.parametrize("groups,cin,cout", [(1, 3, 4), (4, 4, 4), (2, 4, 6)])
+    @pytest.mark.parametrize("groups,cin,cout", [(1, 3, 4), (4, 4, 4), (4, 4, 8), (2, 4, 6)])
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
     def test_matches_loop_oracle(self, groups, cin, cout, stride, padding):
         rng = np.random.default_rng(groups * 100 + stride * 10 + padding)
