@@ -7,6 +7,7 @@ from .archive import (
     BlobBoundsError,
     ManifestError,
     MissingParameterError,
+    NonFiniteError,
     OffsetOverlapError,
     WeightArchive,
     load_archive,
@@ -41,6 +42,7 @@ __all__ = [
     "LossConfig",
     "ManifestError",
     "MissingParameterError",
+    "NonFiniteError",
     "Model",
     "OffsetOverlapError",
     "RunConfig",

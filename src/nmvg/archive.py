@@ -9,8 +9,9 @@ Layout:
                  <name> f32 <d0,d1,...> <byte offset into blob>
   blob         little-endian float32 payload
 
-Offsets index the blob (not the file).  Entries may not overlap and must
-stay inside the blob; every lookup of an absent name fails loudly.
+Offsets index the blob (not the file).  Entries may not overlap, must
+stay inside the blob and must hold only finite values; every lookup of
+an absent name fails loudly.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class BlobBoundsError(ArchiveError):
 
 class OffsetOverlapError(ArchiveError):
     """Two entries claim overlapping blob ranges."""
+
+
+class NonFiniteError(ArchiveError):
+    """An entry holds a NaN or an infinity."""
 
 
 class MissingParameterError(ArchiveError):
@@ -137,11 +142,10 @@ def load_archive(path: str | Path) -> WeightArchive:
                 f"entry {name!r}: blob out of bounds (needs bytes up to {end}, blob has {len(blob)})"
             )
         spans.append((offset, end, name))
-        entries[name] = (
-            np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float32)
-        )
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
+        entries[name] = arr.reshape(shape).astype(np.float32)
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:

@@ -135,6 +135,8 @@ def _check_raster_input(x, what: str) -> np.ndarray:
         raise ShapeError(
             f"{what} spatial dims {x.shape[2:]} must be divisible by {STRIDE_TOTAL}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contains non-finite values")
     return x
 
 
@@ -151,19 +153,14 @@ def image_encoder(rgb: FeatureMap, p: ImageEncoderParams) -> list[FeatureMap]:
 
 @dataclass(frozen=True, eq=False)
 class RadarStage:
-    """Two depthwise 3x3 blocks with a residual, then a stride-2 projection.
-
-    The residual bridge is a 1x1 conv and is only needed when the block
-    path changes the channel count; with the default layout the widths
-    match and the bridge stays None (identity).
-    """
+    """Two depthwise 3x3 blocks with an identity residual, then a stride-2
+    projection."""
 
     block1_dw: ConvParams
     block1_bn: BNParams
     block2_dw: ConvParams
     block2_bn: BNParams
     down: SeparableDown
-    bridge: ConvParams | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +179,7 @@ def radar_encoder(radar: FeatureMap, p: RadarEncoderParams) -> list[FeatureMap]:
     for stage in p.stages:
         h = activation(batchnorm_inference(conv2d(x, stage.block1_dw), stage.block1_bn), "relu")
         h = activation(batchnorm_inference(conv2d(h, stage.block2_dw), stage.block2_bn), "relu")
-        shortcut = conv2d(x, stage.bridge) if stage.bridge is not None else x
-        x = h + shortcut
+        x = h + x
         x = _separable_down(x, stage.down)
         outs.append(x)
     return outs

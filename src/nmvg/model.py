@@ -54,7 +54,7 @@ from .heads import (
     res_head_forward,
 )
 from .rasters import read_image, read_radar, write_boxes, write_mask, write_radar_raw, write_ppm
-from .tensor import BNParams, ConvParams, ShapeError
+from .tensor import BNParams, ConvParams
 
 DEFAULT_VOCAB = (
     "<pad>",
@@ -62,8 +62,6 @@ DEFAULT_VOCAB = (
     "small", "large", "fast", "slow", "moving", "still", "vessel", "boat",
     "ship", "buoy", "dock", "bridge", "water", "channel", "port", "starboard",
 )
-
-_MSREP_LEVELS = (5, 4, 3)
 
 
 @dataclass(frozen=True)
@@ -146,157 +144,29 @@ def _parse_config_value(key: str, val: str):
 
 
 # ---------------------------------------------------------------------------
-# parameter manifest and deterministic generation
-# ---------------------------------------------------------------------------
-
-
-def _bn_names(shapes: dict, prefix: str, c: int) -> None:
-    for f in ("gamma", "beta", "mean", "var"):
-        shapes[f"{prefix}.{f}"] = (c,)
-
-
-def parameter_shapes(cfg: RunConfig) -> dict[str, tuple[int, ...]]:
-    """Every named tensor of the trainable-form model, in binding order."""
-    s: dict[str, tuple[int, ...]] = {}
-    ch = cfg.stage_channels
-    f = cfg.fpn_channels
-    e = cfg.embed_dim
-
-    s["img_enc.stem.dw.kernel"] = (3, 1, 3, 3)
-    s["img_enc.stem.pw.kernel"] = (ch[0], 3, 1, 1)
-    _bn_names(s, "img_enc.stem.bn", ch[0])
-    for i in range(4):
-        cin = ch[0] if i == 0 else ch[i - 1]
-        s[f"img_enc.stage{i}.dw.kernel"] = (cin, 1, 3, 3)
-        s[f"img_enc.stage{i}.pw.kernel"] = (ch[i], cin, 1, 1)
-        _bn_names(s, f"img_enc.stage{i}.bn", ch[i])
-
-    s["radar_enc.stem.dw.kernel"] = (3, 1, 3, 3)
-    _bn_names(s, "radar_enc.stem.bn", 3)
-    for i in range(4):
-        cin = 3 if i == 0 else ch[i - 1]
-        for blk in ("block1", "block2"):
-            s[f"radar_enc.stage{i}.{blk}.dw.kernel"] = (cin, 1, 3, 3)
-            _bn_names(s, f"radar_enc.stage{i}.{blk}.bn", cin)
-        s[f"radar_enc.stage{i}.down.dw.kernel"] = (cin, 1, 3, 3)
-        s[f"radar_enc.stage{i}.down.pw.kernel"] = (ch[i], cin, 1, 1)
-        _bn_names(s, f"radar_enc.stage{i}.down.bn", ch[i])
-
-    s["text_enc.embedding"] = (cfg.text_vocab, e)
-    for i in range(4):
-        s[f"text_adapt.stage{i}.weight"] = (ch[i], e)
-        s[f"text_adapt.stage{i}.bias"] = (ch[i],)
-
-    for i in range(4):
-        c = ch[i]
-        side = cfg.stage_size(i)
-        s[f"tmdf.stage{i}.w_img.kernel"] = (c, 1, 1, 1)
-        s[f"tmdf.stage{i}.w_radar.kernel"] = (c, 1, 1, 1)
-        s[f"tmdf.stage{i}.eca.weights"] = (3,)
-        s[f"tmdf.stage{i}.deform.offset.kernel"] = (18, c, 3, 3)
-        s[f"tmdf.stage{i}.deform.offset.bias"] = (18,)
-        s[f"tmdf.stage{i}.deform.main.kernel"] = (c, c, 3, 3)
-        s[f"tmdf.stage{i}.deform.main.bias"] = (c,)
-        s[f"tmdf.stage{i}.lpe"] = (1, c, side, side)
-        s[f"tmdf.stage{i}.w_text.weight"] = (c, c)
-        s[f"tmdf.stage{i}.w_text.bias"] = (c,)
-
-    for level, i in zip((2, 3, 4, 5), range(4)):
-        s[f"fpn.lateral{level}.kernel"] = (f, ch[i], 1, 1)
-        s[f"fpn.lateral{level}.bias"] = (f,)
-        s[f"fpn.smooth{level}.kernel"] = (f, f, 3, 3)
-        s[f"fpn.smooth{level}.bias"] = (f,)
-
-    for i in range(4):
-        p = f"enmoe.stage{i}"
-        s[f"{p}.edge.kernel"] = (f, 1, 1, 1)
-        _bn_names(s, f"{p}.edge_bn", f)
-        s[f"{p}.nbr.kernel"] = (f, 1, 5, 5)
-        _bn_names(s, f"{p}.nbr_bn", f)
-        s[f"{p}.gate_h.kernel"] = (f, f, 1, 1)
-        s[f"{p}.gate_h.bias"] = (f,)
-        s[f"{p}.gate_l.kernel"] = (f, f, 1, 1)
-        s[f"{p}.gate_l.bias"] = (f,)
-        s[f"{p}.w_o.kernel"] = (f, f, 1, 1)
-        s[f"{p}.w_o.bias"] = (f,)
-        s[f"{p}.theta1_raw"] = (1,)
-        s[f"{p}.theta2_raw"] = (1,)
-
-    for branch, out in (("conf", 1), ("wh", 2), ("offset", 2)):
-        p = f"rec.{branch}"
-        s[f"{p}.dw.kernel"] = (f, 1, 3, 3)
-        _bn_names(s, f"{p}.dw_bn", f)
-        s[f"{p}.pw.kernel"] = (f, f, 1, 1)
-        _bn_names(s, f"{p}.pw_bn", f)
-        s[f"{p}.proj.kernel"] = (out, f, 1, 1)
-        s[f"{p}.proj.bias"] = (out,)
-
-    s["res.entry.kernel"] = (f, 1, 1, 1)
-    for level in _MSREP_LEVELS:
-        p = f"res.msrep{level}"
-        s[f"{p}.conv3.kernel"] = (f, 1, 3, 3)
-        _bn_names(s, f"{p}.bn3", f)
-        s[f"{p}.conv1.kernel"] = (f, 1, 1, 1)
-        _bn_names(s, f"{p}.bn1", f)
-        _bn_names(s, f"{p}.bnid", f)
-    s["res.proj.kernel"] = (1, f, 1, 1)
-    s["res.proj.bias"] = (1,)
-    return s
-
-
-def _init_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
-    leaf = name.rsplit(".", 1)[-1]
-    parent = name.rsplit(".", 2)[-2] if name.count(".") >= 2 else ""
-    if leaf in ("lpe",) or "deform.offset" in name or leaf.startswith("theta"):
-        return np.zeros(shape, dtype=np.float32)
-    if leaf == "bias":
-        return np.zeros(shape, dtype=np.float32)
-    if leaf == "gamma":
-        return rng.uniform(0.8, 1.2, size=shape).astype(np.float32)
-    if leaf == "beta" or leaf == "mean":
-        return (0.05 * rng.standard_normal(shape)).astype(np.float32)
-    if leaf == "var":
-        return rng.uniform(0.5, 1.5, size=shape).astype(np.float32)
-    if leaf == "weights":  # eca
-        return (0.5 * rng.standard_normal(shape)).astype(np.float32)
-    if leaf == "embedding":
-        return (0.5 * rng.standard_normal(shape)).astype(np.float32)
-    if len(shape) == 4:
-        fan_in = shape[1] * shape[2] * shape[3]
-    elif len(shape) == 2:
-        fan_in = shape[1]
-    else:
-        fan_in = shape[0]
-    std = float(np.sqrt(2.0 / max(fan_in, 1)))
-    return (std * rng.standard_normal(shape)).astype(np.float32)
-
-
-def generate_archive(cfg: RunConfig, seed: int | None = None) -> WeightArchive:
-    """Deterministic random weights for every tensor of the model."""
-    seed = cfg.seed if seed is None else seed
-    entries = {
-        name: _init_tensor(name, shape, seed)
-        for name, shape in parameter_shapes(cfg).items()
-    }
-    return WeightArchive(entries=entries)
-
-
-# ---------------------------------------------------------------------------
-# binding
+# binding: the one place that names every tensor
 # ---------------------------------------------------------------------------
 
 
 class _Binder:
-    def __init__(self, archive: WeightArchive):
+    """Hands out archive tensors by name and records each (name, shape).
+
+    Without an archive it hands out zeros of the requested shape, so a dry
+    bind yields the manifest: every name and shape in binding order.
+    """
+
+    def __init__(self, archive: WeightArchive | None = None):
         self.archive = archive
+        self.shapes: dict[str, tuple[int, ...]] = {}
 
     def arr(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        shape = tuple(shape)
+        self.shapes[name] = shape
+        if self.archive is None:
+            return np.zeros(shape, dtype=np.float32)
         a = self.archive.get(name)
-        if a.shape != tuple(shape):
-            raise ArchiveError(
-                f"entry {name!r} has shape {a.shape}, the model expects {tuple(shape)}"
-            )
+        if a.shape != shape:
+            raise ArchiveError(f"entry {name!r} has shape {a.shape}, the model expects {shape}")
         return a
 
     def conv(self, prefix, shape, *, stride=1, padding=0, groups=1, bias=False) -> ConvParams:
@@ -320,6 +190,188 @@ class _Binder:
         return float(self.arr(name, (1,))[0])
 
 
+_MSREP_PREFIXES = ("res.msrep5", "res.msrep4", "res.msrep3")
+#: Present exactly when an archive holds the folded segmentation blocks.
+_FUSED_KEY = f"{_MSREP_PREFIXES[0]}.fused.kernel"
+
+
+def _msrep(b: _Binder, p: str, f: int | None, fused: bool) -> MsRepParams:
+    """One segmentation block at prefix p, in fused or trainable form.
+
+    The fold has no run configuration and passes f=None: the width is then
+    read from the archive's 3x3 branch.
+    """
+    if fused:
+        return MsRepParams(fused=b.conv(f"{p}.fused", (f, 1, 3, 3), padding=1, groups=f, bias=True))
+    if f is None:
+        f = b.archive.get(f"{p}.conv3.kernel").shape[0]
+    return MsRepParams(
+        conv3=b.conv(f"{p}.conv3", (f, 1, 3, 3), padding=1, groups=f),
+        bn3=b.bn(f"{p}.bn3", f),
+        conv1=b.conv(f"{p}.conv1", (f, 1, 1, 1), groups=f),
+        bn1=b.bn(f"{p}.bn1", f),
+        bn_id=b.bn(f"{p}.bnid", f),
+    )
+
+
+def _bind(cfg: RunConfig, b: _Binder, fused: bool) -> dict:
+    """Every parameter bundle of the model, keyed by its Model field.
+
+    Arguments evaluate left to right, so the order below is the binding
+    order, which is also the byte order of generated archives.
+    """
+    ch = cfg.stage_channels
+    f = cfg.fpn_channels
+    e = cfg.embed_dim
+
+    def sep(prefix, cin, cout) -> SeparableDown:
+        return SeparableDown(
+            dw=b.conv(f"{prefix}.dw", (cin, 1, 3, 3), stride=2, padding=1, groups=cin),
+            pw=b.conv(f"{prefix}.pw", (cout, cin, 1, 1)),
+            bn=b.bn(f"{prefix}.bn", cout),
+        )
+
+    def radar_stage(i) -> RadarStage:
+        cin = 3 if i == 0 else ch[i - 1]
+        p = f"radar_enc.stage{i}"
+        return RadarStage(
+            block1_dw=b.conv(f"{p}.block1.dw", (cin, 1, 3, 3), padding=1, groups=cin),
+            block1_bn=b.bn(f"{p}.block1.bn", cin),
+            block2_dw=b.conv(f"{p}.block2.dw", (cin, 1, 3, 3), padding=1, groups=cin),
+            block2_bn=b.bn(f"{p}.block2.bn", cin),
+            down=sep(f"{p}.down", cin, ch[i]),
+        )
+
+    def tmdf(i) -> TmdfParams:
+        c = ch[i]
+        side = cfg.stage_size(i)
+        p = f"tmdf.stage{i}"
+        return TmdfParams(
+            w_img=b.conv(f"{p}.w_img", (c, 1, 1, 1), groups=c),
+            w_radar=b.conv(f"{p}.w_radar", (c, 1, 1, 1), groups=c),
+            eca=EcaParams(weights=b.arr(f"{p}.eca.weights", (3,))),
+            deform=DeformParams(
+                offset_conv=b.conv(f"{p}.deform.offset", (18, c, 3, 3), padding=1, bias=True),
+                main=b.conv(f"{p}.deform.main", (c, c, 3, 3), padding=1, bias=True),
+            ),
+            lpe=b.arr(f"{p}.lpe", (1, c, side, side)),
+            w_text=b.arr(f"{p}.w_text.weight", (c, c)),
+            w_text_bias=b.arr(f"{p}.w_text.bias", (c,)),
+            ape=sinusoidal_encoding(c, cfg.text_len),
+            d=c,
+        )
+
+    def fpn() -> FpnParams:
+        # lateral{l} and smooth{l} bind together, level by level
+        pairs = [
+            (
+                b.conv(f"fpn.lateral{level}", (f, ch[level - 2], 1, 1), bias=True),
+                b.conv(f"fpn.smooth{level}", (f, f, 3, 3), padding=1, bias=True),
+            )
+            for level in (2, 3, 4, 5)
+        ]
+        lateral, smooth = zip(*pairs)
+        return FpnParams(lateral=lateral, smooth=smooth)
+
+    def enmoe(p) -> EnMoeParams:
+        return EnMoeParams(
+            edge_conv=b.conv(f"{p}.edge", (f, 1, 1, 1), groups=f),
+            edge_bn=b.bn(f"{p}.edge_bn", f),
+            nbr_conv=b.conv(f"{p}.nbr", (f, 1, 5, 5), padding=2, groups=f),
+            nbr_bn=b.bn(f"{p}.nbr_bn", f),
+            gate_high=b.conv(f"{p}.gate_h", (f, f, 1, 1), bias=True),
+            gate_low=b.conv(f"{p}.gate_l", (f, f, 1, 1), bias=True),
+            w_o=b.conv(f"{p}.w_o", (f, f, 1, 1), bias=True),
+            theta1_raw=b.scalar(f"{p}.theta1_raw"),
+            theta2_raw=b.scalar(f"{p}.theta2_raw"),
+        )
+
+    def branch(p, out) -> BranchParams:
+        return BranchParams(
+            dw=b.conv(f"{p}.dw", (f, 1, 3, 3), padding=1, groups=f),
+            dw_bn=b.bn(f"{p}.dw_bn", f),
+            pw=b.conv(f"{p}.pw", (f, f, 1, 1)),
+            pw_bn=b.bn(f"{p}.pw_bn", f),
+            proj=b.conv(f"{p}.proj", (out, f, 1, 1), bias=True),
+        )
+
+    return dict(
+        image_p=ImageEncoderParams(
+            stem=sep("img_enc.stem", 3, ch[0]),
+            stages=tuple(sep(f"img_enc.stage{i}", ch[max(i - 1, 0)], ch[i]) for i in range(4)),
+        ),
+        radar_p=RadarEncoderParams(
+            stem_dw=b.conv("radar_enc.stem.dw", (3, 1, 3, 3), stride=2, padding=1, groups=3),
+            stem_bn=b.bn("radar_enc.stem.bn", 3),
+            stages=tuple(radar_stage(i) for i in range(4)),
+        ),
+        text_p=TextEncoderParams(embedding=b.arr("text_enc.embedding", (cfg.text_vocab, e))),
+        adapters=tuple(
+            (b.arr(f"text_adapt.stage{i}.weight", (ch[i], e)), b.arr(f"text_adapt.stage{i}.bias", (ch[i],)))
+            for i in range(4)
+        ),
+        tmdf_p=tuple(tmdf(i) for i in range(4)),
+        fpn_p=fpn(),
+        enmoe_p=tuple(enmoe(f"enmoe.stage{i}") for i in range(4)),
+        rec_p=RecHeadParams(
+            conf=branch("rec.conf", 1),
+            wh=branch("rec.wh", 2),
+            offset=branch("rec.offset", 2),
+            downsample_ratio=cfg.input_size // cfg.stage_size(cfg.head_scale - 2),
+        ),
+        res_p=ResHeadParams(
+            entry=b.conv("res.entry", (f, 1, 1, 1), groups=f),
+            blocks=tuple(_msrep(b, p, f, fused) for p in _MSREP_PREFIXES),
+            proj=b.conv("res.proj", (1, f, 1, 1), bias=True),
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# parameter manifest and deterministic generation
+# ---------------------------------------------------------------------------
+
+
+def parameter_shapes(cfg: RunConfig) -> dict[str, tuple[int, ...]]:
+    """Every named tensor of the trainable-form model, in binding order."""
+    b = _Binder()
+    _bind(cfg, b, fused=False)
+    return b.shapes
+
+
+def _init_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
+    rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
+    leaf = name.rsplit(".", 1)[-1]
+    if leaf in ("lpe", "bias") or "deform.offset" in name or leaf.startswith("theta"):
+        return np.zeros(shape, dtype=np.float32)
+    if leaf == "gamma":
+        return rng.uniform(0.8, 1.2, size=shape).astype(np.float32)
+    if leaf == "beta" or leaf == "mean":
+        return (0.05 * rng.standard_normal(shape)).astype(np.float32)
+    if leaf == "var":
+        return rng.uniform(0.5, 1.5, size=shape).astype(np.float32)
+    if leaf in ("weights", "embedding"):  # eca, text table
+        return (0.5 * rng.standard_normal(shape)).astype(np.float32)
+    if len(shape) == 4:
+        fan_in = shape[1] * shape[2] * shape[3]
+    elif len(shape) == 2:
+        fan_in = shape[1]
+    else:
+        fan_in = shape[0]
+    std = float(np.sqrt(2.0 / max(fan_in, 1)))
+    return (std * rng.standard_normal(shape)).astype(np.float32)
+
+
+def generate_archive(cfg: RunConfig, seed: int | None = None) -> WeightArchive:
+    """Deterministic random weights for every tensor of the model."""
+    seed = cfg.seed if seed is None else seed
+    entries = {
+        name: _init_tensor(name, shape, seed)
+        for name, shape in parameter_shapes(cfg).items()
+    }
+    return WeightArchive(entries=entries)
+
+
 @dataclass(frozen=True, eq=False)
 class ModelOutputs:
     heatmap: np.ndarray
@@ -330,172 +382,35 @@ class ModelOutputs:
     downsample_ratio: int
 
 
+@dataclass(frozen=True, eq=False)
 class Model:
     """Bound, ready-to-run pipeline for one run configuration."""
 
-    def __init__(self, cfg: RunConfig, image_p, radar_p, text_p, adapters, tmdf_p,
-                 fpn_p, enmoe_p, rec_p, res_p, fused: bool):
-        self.cfg = cfg
-        self.image_p = image_p
-        self.radar_p = radar_p
-        self.text_p = text_p
-        self.adapters = adapters
-        self.tmdf_p = tmdf_p
-        self.fpn_p = fpn_p
-        self.enmoe_p = enmoe_p
-        self.rec_p = rec_p
-        self.res_p = res_p
-        self.fused = fused
+    cfg: RunConfig
+    image_p: ImageEncoderParams
+    radar_p: RadarEncoderParams
+    text_p: TextEncoderParams
+    adapters: tuple[tuple[np.ndarray, np.ndarray], ...]
+    tmdf_p: tuple[TmdfParams, ...]
+    fpn_p: FpnParams
+    enmoe_p: tuple[EnMoeParams, ...]
+    rec_p: RecHeadParams
+    res_p: ResHeadParams
+    fused: bool
 
     @classmethod
     def from_archive(cls, cfg: RunConfig, archive: WeightArchive, mode: str = "auto") -> "Model":
         if mode not in ("auto", "train", "fused"):
             raise ValueError(f"mode must be auto, train or fused, got {mode!r}")
-        fused_present = "res.msrep5.fused.kernel" in archive
+        fused_present = _FUSED_KEY in archive
         if mode == "auto":
             mode = "fused" if fused_present else "train"
         if mode == "fused" and not fused_present:
             raise ArchiveError("archive holds no fused segmentation blocks; run fuse-rep first")
         if mode == "train" and fused_present:
             raise ArchiveError("archive holds fused segmentation blocks; trainable form is gone")
-        b = _Binder(archive)
-        ch = cfg.stage_channels
-        f = cfg.fpn_channels
-        e = cfg.embed_dim
-
-        def sep(prefix, cin, cout, stride=2) -> SeparableDown:
-            return SeparableDown(
-                dw=b.conv(f"{prefix}.dw", (cin, 1, 3, 3), stride=stride, padding=1, groups=cin),
-                pw=b.conv(f"{prefix}.pw", (cout, cin, 1, 1)),
-                bn=b.bn(f"{prefix}.bn", cout),
-            )
-
-        image_p = ImageEncoderParams(
-            stem=sep("img_enc.stem", 3, ch[0]),
-            stages=tuple(
-                sep(f"img_enc.stage{i}", ch[0] if i == 0 else ch[i - 1], ch[i]) for i in range(4)
-            ),
-        )
-
-        stages = []
-        for i in range(4):
-            cin = 3 if i == 0 else ch[i - 1]
-            stages.append(
-                RadarStage(
-                    block1_dw=b.conv(f"radar_enc.stage{i}.block1.dw", (cin, 1, 3, 3), padding=1, groups=cin),
-                    block1_bn=b.bn(f"radar_enc.stage{i}.block1.bn", cin),
-                    block2_dw=b.conv(f"radar_enc.stage{i}.block2.dw", (cin, 1, 3, 3), padding=1, groups=cin),
-                    block2_bn=b.bn(f"radar_enc.stage{i}.block2.bn", cin),
-                    down=sep(f"radar_enc.stage{i}.down", cin, ch[i]),
-                )
-            )
-        radar_p = RadarEncoderParams(
-            stem_dw=b.conv("radar_enc.stem.dw", (3, 1, 3, 3), stride=2, padding=1, groups=3),
-            stem_bn=b.bn("radar_enc.stem.bn", 3),
-            stages=tuple(stages),
-        )
-
-        text_p = TextEncoderParams(embedding=b.arr("text_enc.embedding", (cfg.text_vocab, e)))
-        adapters = tuple(
-            (
-                b.arr(f"text_adapt.stage{i}.weight", (ch[i], e)),
-                b.arr(f"text_adapt.stage{i}.bias", (ch[i],)),
-            )
-            for i in range(4)
-        )
-
-        tmdf_p = []
-        for i in range(4):
-            c = ch[i]
-            side = cfg.stage_size(i)
-            p = f"tmdf.stage{i}"
-            tmdf_p.append(
-                TmdfParams(
-                    w_img=b.conv(f"{p}.w_img", (c, 1, 1, 1), groups=c),
-                    w_radar=b.conv(f"{p}.w_radar", (c, 1, 1, 1), groups=c),
-                    eca=EcaParams(weights=b.arr(f"{p}.eca.weights", (3,))),
-                    deform=DeformParams(
-                        offset_conv=b.conv(f"{p}.deform.offset", (18, c, 3, 3), padding=1, bias=True),
-                        main=b.conv(f"{p}.deform.main", (c, c, 3, 3), padding=1, bias=True),
-                    ),
-                    lpe=b.arr(f"{p}.lpe", (1, c, side, side)),
-                    w_text=b.arr(f"{p}.w_text.weight", (c, c)),
-                    w_text_bias=b.arr(f"{p}.w_text.bias", (c,)),
-                    ape=sinusoidal_encoding(c, cfg.text_len),
-                    d=c,
-                )
-            )
-
-        fpn_p = FpnParams(
-            lateral=tuple(
-                b.conv(f"fpn.lateral{l}", (f, ch[i], 1, 1), bias=True)
-                for i, l in enumerate((2, 3, 4, 5))
-            ),
-            smooth=tuple(
-                b.conv(f"fpn.smooth{l}", (f, f, 3, 3), padding=1, bias=True)
-                for l in (2, 3, 4, 5)
-            ),
-        )
-
-        enmoe_p = []
-        for i in range(4):
-            p = f"enmoe.stage{i}"
-            enmoe_p.append(
-                EnMoeParams(
-                    edge_conv=b.conv(f"{p}.edge", (f, 1, 1, 1), groups=f),
-                    edge_bn=b.bn(f"{p}.edge_bn", f),
-                    nbr_conv=b.conv(f"{p}.nbr", (f, 1, 5, 5), padding=2, groups=f),
-                    nbr_bn=b.bn(f"{p}.nbr_bn", f),
-                    gate_high=b.conv(f"{p}.gate_h", (f, f, 1, 1), bias=True),
-                    gate_low=b.conv(f"{p}.gate_l", (f, f, 1, 1), bias=True),
-                    w_o=b.conv(f"{p}.w_o", (f, f, 1, 1), bias=True),
-                    theta1_raw=b.scalar(f"{p}.theta1_raw"),
-                    theta2_raw=b.scalar(f"{p}.theta2_raw"),
-                )
-            )
-
-        def branch(prefix, out) -> BranchParams:
-            return BranchParams(
-                dw=b.conv(f"{prefix}.dw", (f, 1, 3, 3), padding=1, groups=f),
-                dw_bn=b.bn(f"{prefix}.dw_bn", f),
-                pw=b.conv(f"{prefix}.pw", (f, f, 1, 1)),
-                pw_bn=b.bn(f"{prefix}.pw_bn", f),
-                proj=b.conv(f"{prefix}.proj", (out, f, 1, 1), bias=True),
-            )
-
-        rec_p = RecHeadParams(
-            conf=branch("rec.conf", 1),
-            wh=branch("rec.wh", 2),
-            offset=branch("rec.offset", 2),
-            downsample_ratio=cfg.input_size // cfg.stage_size(cfg.head_scale - 2),
-        )
-
-        blocks = []
-        for level in _MSREP_LEVELS:
-            p = f"res.msrep{level}"
-            if mode == "fused":
-                blocks.append(
-                    MsRepParams(
-                        fused=b.conv(f"{p}.fused", (f, 1, 3, 3), padding=1, groups=f, bias=True)
-                    )
-                )
-            else:
-                blocks.append(
-                    MsRepParams(
-                        conv3=b.conv(f"{p}.conv3", (f, 1, 3, 3), padding=1, groups=f),
-                        bn3=b.bn(f"{p}.bn3", f),
-                        conv1=b.conv(f"{p}.conv1", (f, 1, 1, 1), groups=f),
-                        bn1=b.bn(f"{p}.bn1", f),
-                        bn_id=b.bn(f"{p}.bnid", f),
-                    )
-                )
-        res_p = ResHeadParams(
-            entry=b.conv("res.entry", (f, 1, 1, 1), groups=f),
-            blocks=tuple(blocks),
-            proj=b.conv("res.proj", (1, f, 1, 1), bias=True),
-        )
-        return cls(cfg, image_p, radar_p, text_p, adapters, tmdf_p, fpn_p, enmoe_p,
-                   rec_p, res_p, fused=(mode == "fused"))
+        fused = mode == "fused"
+        return cls(cfg, **_bind(cfg, _Binder(archive), fused), fused=fused)
 
     def forward(self, image, radar, tokens: TokenSequence) -> ModelOutputs:
         cfg = self.cfg
@@ -546,28 +461,18 @@ class Model:
 
 def fuse_archive(archive: WeightArchive) -> WeightArchive:
     """Fold every msrep block of an archive; branch keys are dropped."""
-    if "res.msrep5.fused.kernel" in archive:
+    if _FUSED_KEY in archive:
         raise ArchiveError("archive is already fused")
     b = _Binder(archive)
-    entries = dict(archive.entries)
-    for level in _MSREP_LEVELS:
-        p = f"res.msrep{level}"
-        kernel = archive.get(f"{p}.conv3.kernel")
-        f = kernel.shape[0]
-        block = MsRepParams(
-            conv3=b.conv(f"{p}.conv3", (f, 1, 3, 3), padding=1, groups=f),
-            bn3=b.bn(f"{p}.bn3", f),
-            conv1=b.conv(f"{p}.conv1", (f, 1, 1, 1), groups=f),
-            bn1=b.bn(f"{p}.bn1", f),
-            bn_id=b.bn(f"{p}.bnid", f),
-        )
-        fused = msrep_fuse(block)
-        entries[f"{p}.fused.kernel"] = fused.fused.kernel
-        entries[f"{p}.fused.bias"] = fused.fused.bias
-        for key in list(entries):
-            if key.startswith(f"{p}.conv") or key.startswith(f"{p}.bn"):
-                del entries[key]
-    return WeightArchive(entries=entries)
+    folded = {}
+    for p in _MSREP_PREFIXES:
+        conv = msrep_fuse(_msrep(b, p, None, fused=False)).fused
+        # the folded names come from the helper that from_archive binds them with
+        names = _Binder()
+        _msrep(names, p, conv.out_channels, fused=True)
+        folded.update(zip(names.shapes, (conv.kernel, conv.bias)))
+    entries = {k: v for k, v in archive.entries.items() if k not in b.shapes}
+    return WeightArchive(entries={**entries, **folded})
 
 
 # ---------------------------------------------------------------------------

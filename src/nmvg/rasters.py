@@ -56,15 +56,6 @@ def _read_netpbm(data: bytes, path) -> tuple[str, int, int, np.ndarray]:
     return magic, width, height, pixels
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a P6 file as (3, H, W) float32 scaled to [0, 1]."""
-    magic, w, h, px = _read_netpbm(Path(path).read_bytes(), path)
-    if magic != "P6":
-        raise RasterError(f"{path}: expected a P6 color image")
-    arr = px.reshape(h, w, 3).transpose(2, 0, 1)
-    return (arr.astype(np.float32) / 255.0).copy()
-
-
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a P5 file as (H, W) float32 scaled to [0, 1]."""
     magic, w, h, px = _read_netpbm(Path(path).read_bytes(), path)
@@ -95,16 +86,21 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def read_image(path: str | Path, size: int) -> np.ndarray:
-    """Load the camera raster as (3, size, size); P5 replicates to 3 planes."""
-    magic, w, h, px = _read_netpbm(Path(path).read_bytes(), path)
+def _netpbm_planes(data: bytes, path, size: int, what: str) -> np.ndarray:
+    """Decode a P6/P5 raster as (3, size, size) in [0, 1]; gray replicates."""
+    magic, w, h, px = _read_netpbm(data, path)
     if (h, w) != (size, size):
-        raise RasterError(f"{path}: image is {w}x{h}, run configuration wants {size}x{size}")
+        raise RasterError(f"{path}: {what} is {w}x{h}, run configuration wants {size}x{size}")
     if magic == "P6":
         arr = px.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float32)
     else:
         arr = np.broadcast_to(px.reshape(1, h, w), (3, h, w)).astype(np.float32)
     return (arr / 255.0).copy()
+
+
+def read_image(path: str | Path, size: int) -> np.ndarray:
+    """Load the camera raster as (3, size, size); P5 replicates to 3 planes."""
+    return _netpbm_planes(Path(path).read_bytes(), path, size, "image")
 
 
 def read_radar(path: str | Path, size: int) -> np.ndarray:
@@ -116,14 +112,7 @@ def read_radar(path: str | Path, size: int) -> np.ndarray:
     """
     data = Path(path).read_bytes()
     if data[:2] in (b"P5", b"P6"):
-        magic, w, h, px = _read_netpbm(data, path)
-        if (h, w) != (size, size):
-            raise RasterError(f"{path}: radar is {w}x{h}, run configuration wants {size}x{size}")
-        if magic == "P6":
-            arr = px.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float32)
-        else:
-            arr = np.broadcast_to(px.reshape(1, h, w), (3, h, w)).astype(np.float32)
-        return (arr / 255.0).copy()
+        return _netpbm_planes(data, path, size, "radar")
     need = 3 * size * size * 4
     if len(data) != need:
         raise RasterError(

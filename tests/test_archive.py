@@ -10,6 +10,7 @@ from nmvg.archive import (
     BlobBoundsError,
     ManifestError,
     MissingParameterError,
+    NonFiniteError,
     OffsetOverlapError,
     WeightArchive,
     load_archive,
@@ -160,6 +161,22 @@ class TestLoadErrors:
         blob = struct.pack("<f", 5.0)
         p.write_bytes(_raw(b"\nx f32 1 0\n\n", blob))
         assert load_archive(p).get("x")[0] == 5.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected_by_name(self, tmp_path, bad):
+        p = tmp_path / "w.nmvg"
+        blob = struct.pack("<4f", 1.0, 2.0, bad, 4.0)
+        p.write_bytes(_raw(b"ok f32 2 0\nbad.kernel f32 2 8\n", blob))
+        with pytest.raises(NonFiniteError, match="bad.kernel"):
+            load_archive(p)
+
+    def test_non_finite_bytes_in_a_gap_are_legal(self, tmp_path):
+        """Only entry ranges are checked; unreferenced blob bytes are free."""
+        p = tmp_path / "w.nmvg"
+        blob = struct.pack("<3f", 1.0, float("nan"), 3.0)
+        p.write_bytes(_raw(b"x f32 1 0\ny f32 1 8\n", blob))
+        a = load_archive(p)
+        assert a.get("x")[0] == 1.0 and a.get("y")[0] == 3.0
 
     def test_error_hierarchy(self):
         for exc in (BadMagicError, ManifestError, BlobBoundsError, OffsetOverlapError, MissingParameterError):

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
@@ -130,6 +131,24 @@ class TestGenerateArchive:
             assert arr.shape == shapes[name], name
 
 
+class TestArchiveLayout:
+    """sha256 of the saved bytes: pins manifest order, names, shapes and values."""
+
+    TRAIN_64 = "44b031a9d3f84c68173181156bdc21e3fa567f5d8baf8f721b9a02dbb0ed000a"
+    FUSED_64 = "8063b803cb5287257dad44a539842068e6ac5070182a329ae3e8f177cb6a2100"
+
+    @staticmethod
+    def _digest(archive, path):
+        save_archive(archive, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_generated_archive_bytes_pinned(self, small_archive, tmp_path):
+        assert self._digest(small_archive, tmp_path / "w.nmvg") == self.TRAIN_64
+
+    def test_fused_archive_bytes_pinned(self, small_archive, tmp_path):
+        assert self._digest(fuse_archive(small_archive), tmp_path / "w.nmvg") == self.FUSED_64
+
+
 class TestModelBinding:
     def test_missing_parameter_names_the_key(self, small_archive):
         broken = WeightArchive(entries=dict(small_archive.entries))
@@ -191,6 +210,20 @@ class TestForward:
         )
         assert out.heatmap.shape == (1, 1, 8, 8)
         assert out.downsample_ratio == 8
+
+    @pytest.mark.parametrize("which", ["image", "radar"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, small_archive, which, bad):
+        model = Model.from_archive(SMALL, small_archive)
+        rng = np.random.default_rng(3)
+        inputs = {
+            "image": rng.random((1, 3, 64, 64), dtype=np.float32),
+            "radar": rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
+        }
+        inputs[which][0, 1, 5, 7] = bad
+        tokens = tokenize("the red boat", list(DEFAULT_VOCAB), SMALL.text_len)
+        with pytest.raises(ValueError, match=f"{which} input"):
+            model.forward(inputs["image"], inputs["radar"], tokens)
 
 
 class TestFuseArchive:
@@ -307,6 +340,25 @@ class TestCli:
         assert "boxes ->" in out and "mask ->" in out
         assert (tmp_path / "out" / "boxes.txt").exists()
         assert (tmp_path / "out" / "mask.pgm").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_infer_non_finite_weights_exits_two(self, fixture_dir, tmp_path, capsys, bad):
+        archive = load_archive(fixture_dir / "weights.nmvg")
+        archive.entries["fpn.smooth2.kernel"][0, 0, 1, 1] = bad
+        weights = tmp_path / "bad.nmvg"
+        save_archive(archive, weights)
+        rc = main([
+            "infer",
+            "--config", str(fixture_dir / "run.cfg"),
+            "--weights", str(weights),
+            "--image", str(fixture_dir / "image.ppm"),
+            "--radar", str(fixture_dir / "radar.f32"),
+            "--prompt", str(fixture_dir / "prompt.txt"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "fpn.smooth2.kernel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_fuse_rep_round_trip(self, fixture_dir, tmp_path, capsys):
         dst = tmp_path / "fused.nmvg"
