@@ -32,7 +32,7 @@ from .tensor import (
     ConvParams,
     FeatureMap,
     ShapeError,
-    _grouped_matmul,
+    _contract_rows,
     _sigmoid,
     conv2d,
     global_avg_pool,
@@ -94,9 +94,10 @@ class DeformParams:
 def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     """Deformable 2-D conv with bilinear sampling; out-of-bounds reads zero.
 
-    The bilinear samples for the whole batch are gathered into float64
-    im2col columns (N, C_in, k_h*k_w, H_out*W_out), which go through the
-    same grouped float64 contraction as ``conv2d``'s dense path.  With an
+    The bilinear samples are gathered for the whole batch, one block of
+    output rows at a time, into float64 im2col columns
+    (N, C_in, k_h*k_w, rows, W_out) that go through the same tiled
+    grouped float64 contraction as ``conv2d``'s dense path.  With an
     all-zero offset predictor this reduces to conv2d(x, p.main).
     """
     x = np.asarray(x, dtype=np.float32)
@@ -115,36 +116,39 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
         raise ShapeError(
             f"offset grid {offsets.shape[2:]} does not match conv output {(ho, wo)}"
         )
-    off = offsets.astype(np.float64).reshape(n, taps, 2, ho, wo)
     ky, kx = np.unravel_index(np.arange(taps), (kh, kw))
-    base_y = (np.arange(ho) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
     base_x = (np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]
-    # Beyond this window all four bilinear corners are out of bounds, so
-    # clamping changes no result and keeps the int cast finite.
-    py = np.clip(base_y + off[:, :, 0], -2, h + 1)
-    px = np.clip(base_x + off[:, :, 1], -2, w + 1)
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
-    wy = py - y0
-    wx = px - x0
     # Start of each (sample, channel) plane: one gather serves the batch.
     flat = x.reshape(-1)
     planes = (np.arange(n * c_in) * (h * w)).reshape(n, c_in, 1)
-    cols = np.zeros((n, c_in, taps, ho * wo), dtype=np.float64)
-    for yy, xx, wgt in (
-        (y0, x0, (1 - wy) * (1 - wx)),
-        (y0, x0 + 1, (1 - wy) * wx),
-        (y0 + 1, x0, wy * (1 - wx)),
-        (y0 + 1, x0 + 1, wy * wx),
-    ):
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        idx = np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)
-        vals = flat[planes + idx.reshape(n, 1, -1)]
-        cols += vals.reshape(cols.shape) * (wgt * valid).reshape(n, 1, taps, ho * wo)
-    out = _grouped_matmul(cols, main.kernel, main.groups).reshape(n, co, ho, wo)
-    if main.bias is not None:
-        out = out + main.bias.astype(np.float64)[:, None, None]
-    return out.astype(np.float32)
+
+    def fill(cols, r0, r1):
+        off = offsets[:, :, r0:r1].astype(np.float64).reshape(n, taps, 2, r1 - r0, wo)
+        base_y = (np.arange(r0, r1) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
+        # Beyond this window all four bilinear corners are out of bounds, so
+        # clamping changes no result and keeps the int cast finite.
+        py = np.clip(base_y + off[:, :, 0], -2, h + 1)
+        px = np.clip(base_x + off[:, :, 1], -2, w + 1)
+        y0 = np.floor(py).astype(np.int64)
+        x0 = np.floor(px).astype(np.int64)
+        wy = py - y0
+        wx = px - x0
+        cols = cols.reshape(n, c_in, taps, -1)
+        cols.fill(0.0)
+        for yy, xx, wgt in (
+            (y0, x0, (1 - wy) * (1 - wx)),
+            (y0, x0 + 1, (1 - wy) * wx),
+            (y0 + 1, x0, wy * (1 - wx)),
+            (y0 + 1, x0 + 1, wy * wx),
+        ):
+            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            idx = np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)
+            vals = flat[planes + idx.reshape(n, 1, -1)]
+            cols += vals.reshape(cols.shape) * (wgt * valid).reshape(n, 1, taps, -1)
+
+    out = np.empty((n, co, ho, wo), dtype=np.float32)
+    _contract_rows(out, main, fill)
+    return out
 
 
 def sinusoidal_encoding(channels: int, length: int) -> np.ndarray:

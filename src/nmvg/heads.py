@@ -45,8 +45,10 @@ class DetectionBox:
     def __post_init__(self):
         for name in ("cx", "cy", "w", "h", "score"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
+        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
+            raise ValueError(f"box centre must be finite, got cx={self.cx}, cy={self.cy}")
+        if not (0 < self.w < np.inf and 0 < self.h < np.inf):
+            raise ValueError(f"box sides must be positive and finite, got w={self.w}, h={self.h}")
         if not (0.0 < self.score < 1.0):
             raise ValueError(f"score must lie in (0, 1), got {self.score}")
 

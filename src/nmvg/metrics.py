@@ -180,6 +180,8 @@ class EnergyTrace:
             raise ValueError("energy trace is empty")
         if len(self.sample_ids) != tr.shape[0]:
             raise ValueError("sample ids do not match the number of readings")
+        if not (np.isfinite(tr).all() and np.isfinite(un).all()):
+            raise ValueError("energy readings must be finite")
         if (tr < 0).any() or (un < 0).any():
             raise ValueError("energy readings must be non-negative")
         if self.tau_evals < 1:
@@ -226,6 +228,8 @@ def mept(perf, trace: EnergyTrace) -> float:
     p = np.asarray(perf, dtype=np.float64).reshape(-1)
     if p.size == 0:
         raise ValueError("no performance values given")
+    if not np.isfinite(p).all():
+        raise ValueError("performance values must be finite")
     power = float((trace.trained - trace.untrained).sum()) / trace.tau_evals
     if power <= 0:
         raise ValueError(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import ArchiveError, WeightArchive
+from .archive import ArchiveError, NonFiniteError, WeightArchive
 from .encoders import (
     EncoderConfig,
     ImageEncoderParams,
@@ -54,7 +54,7 @@ from .heads import (
     res_head_forward,
 )
 from .rasters import read_image, read_radar, write_boxes, write_mask, write_radar_raw, write_ppm
-from .tensor import BNParams, ConvParams
+from .tensor import BNParams, ConvParams, ShapeError
 
 DEFAULT_VOCAB = (
     "<pad>",
@@ -167,6 +167,8 @@ class _Binder:
         a = self.archive.get(name)
         if a.shape != shape:
             raise ArchiveError(f"entry {name!r} has shape {a.shape}, the model expects {shape}")
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
         return a
 
     def conv(self, prefix, shape, *, stride=1, padding=0, groups=1, bias=False) -> ConvParams:
@@ -414,6 +416,13 @@ class Model:
 
     def forward(self, image, radar, tokens: TokenSequence) -> ModelOutputs:
         cfg = self.cfg
+        for what, x in (("image", image), ("radar", radar)):
+            extent = np.shape(x)[-2:]
+            if extent != (cfg.input_size, cfg.input_size):
+                raise ShapeError(
+                    f"{what} input extent {extent} does not match the model's input size "
+                    f"{(cfg.input_size, cfg.input_size)}"
+                )
         img_stages = image_encoder(image, self.image_p)
         rad_stages = radar_encoder(radar, self.radar_p)
         text = text_encoder(tokens, self.text_p)  # (E, L)

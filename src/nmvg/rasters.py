@@ -166,6 +166,8 @@ def read_boxes(path: str | Path, with_scores: bool = True) -> list:
             vals = [float(v) for v in parts]
         except ValueError:
             raise RasterError(f"{path}:{lineno}: non-numeric box field") from None
+        if not np.isfinite(vals).all():
+            raise RasterError(f"{path}:{lineno}: non-finite box field")
         if with_scores:
             if len(vals) != 5:
                 raise RasterError(f"{path}:{lineno}: expected `cx cy w h score`")

@@ -5,15 +5,20 @@ The in-memory currency of the whole runtime is a float32 numpy array laid
 out row-major as (batch, channel, row, col).  Every function here is pure:
 inputs are never mutated and outputs are freshly allocated.  Convolutions
 take one of two paths: depthwise kernels shift-and-accumulate their taps,
-dense and grouped kernels contract im2col columns in one batched matmul.
+dense and grouped kernels contract im2col columns in batched matmuls.
 Both accumulate in float64 before rounding back to float32, which keeps
-results stable enough to compare against scalar reference loops.
+results stable enough to compare against scalar reference loops.  A conv
+allocates its float32 output once and works through it in tiles (blocks
+of output rows, or of channels when depthwise) whose float64 work fits
+one reused buffer of about ``_TILE`` elements, so no float64 temporary
+ever spans the whole map; each tile is rounded straight into its slice
+of the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +27,10 @@ FeatureMap = np.ndarray
 """Alias for a float32 array in (N, C, H, W) order."""
 
 ActivationKind = Literal["relu", "silu", "sigmoid"]
+
+# float64 elements (batch axis included) in the work buffer a conv reuses
+# from tile to tile: 2 MB, which stays in a core's L2 cache.
+_TILE = 1 << 18
 
 
 class ShapeError(ValueError):
@@ -140,10 +149,11 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
 
     Output spatial dims follow floor((H + 2*pad - k_h) / stride) + 1.
     Depthwise kernels (``groups == C_in``, any channel multiplier) run as a
-    shift-and-accumulate: each kernel tap is a strided view of the padded
-    input, scaled per channel and added in tap order.  Dense and grouped
-    kernels run as im2col columns contracted by ``_grouped_matmul``.  Both
-    paths accumulate in float64 and round the result to float32.
+    shift-and-accumulate over blocks of channels: each kernel tap is a
+    strided view of the padded input, scaled per channel and added in tap
+    order.  Dense and grouped kernels run as im2col columns for blocks of
+    output rows, contracted by ``_contract_rows``.  Both paths accumulate
+    in float64 and round each block to float32 in the output.
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -160,31 +170,66 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     s = p.stride
     ho = (x.shape[2] - kh) // s + 1
     wo = (x.shape[3] - kw) // s + 1
-    taps = [x[:, :, i : i + s * ho : s, j : j + s * wo : s] for i in range(kh) for j in range(kw)]
-    if p.groups == c:
-        k64 = p.kernel.astype(np.float64).reshape(c, co // c, kh * kw, 1, 1)
-        out = np.zeros((n, c, co // c, ho, wo))
-        for t, tap in enumerate(taps):
-            out += tap[:, :, None] * k64[:, :, t]
-    else:
-        cols = np.empty((n, c, kh * kw, ho, wo))
-        for t, tap in enumerate(taps):
-            cols[:, :, t] = tap
-        out = _grouped_matmul(cols, p.kernel, p.groups)
-    out = out.reshape(n, co, ho, wo)
-    if p.bias is not None:
-        out = out + p.bias.astype(np.float64)[:, None, None]
-    return out.astype(np.float32)
+    out = np.empty((n, co, ho, wo), dtype=np.float32)
+    if p.groups != c:
+
+        def fill(cols, r0, r1):
+            for t in range(kh * kw):
+                i, j = divmod(t, kw)
+                cols[:, :, t] = x[:, :, i + s * r0 : i + s * (r1 - 1) + 1 : s, j : j + s * wo : s]
+
+        _contract_rows(out, p, fill)
+        return out
+    m = co // c
+    k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1, 1)
+    bias = None if p.bias is None else p.bias.astype(np.float64).reshape(c, m, 1, 1)
+    # The accumulator and the product of one tap share the tile.
+    block = min(c, max(1, _TILE // (2 * n * m * ho * wo)))
+    acc_buf, prod_buf = np.empty((2, n * block * m * ho * wo))
+    for c0 in range(0, c, block):
+        c1 = min(c0 + block, c)
+        acc = acc_buf[: n * (c1 - c0) * m * ho * wo].reshape(n, c1 - c0, m, ho, wo)
+        prod = prod_buf[: acc.size].reshape(acc.shape)
+        acc.fill(0.0)
+        for t in range(kh * kw):
+            i, j = divmod(t, kw)
+            tap = x[:, c0:c1, None, i : i + s * ho : s, j : j + s * wo : s]
+            np.multiply(tap, k64[c0:c1, :, t], out=prod)
+            acc += prod
+        if bias is not None:
+            acc += bias[c0:c1]
+        out[:, c0 * m : c1 * m] = acc.reshape(n, (c1 - c0) * m, ho, wo)
+    return out
 
 
-def _grouped_matmul(cols: np.ndarray, kernel: np.ndarray, groups: int) -> np.ndarray:
-    """One batched float64 matmul of a (C_out, C // groups, k_h, k_w) kernel
-    with im2col columns (N, C, k_h*k_w, *pixels); returns (N, C_out, pixels)."""
-    n = cols.shape[0]
-    co = kernel.shape[0]
-    k64 = kernel.astype(np.float64).reshape(groups, co // groups, -1)
-    out = np.matmul(k64, cols.reshape(n, groups, k64.shape[2], -1))
-    return out.reshape(n, co, -1)
+def _contract_rows(
+    out: np.ndarray, p: ConvParams, fill: Callable[[np.ndarray, int, int], None]
+) -> None:
+    """Write the float32 result of conv ``p`` into ``out`` (N, C_out, H_out,
+    W_out), one block of output rows at a time.
+
+    ``fill(cols, r0, r1)`` writes the float64 im2col columns
+    (N, C_in, k_h*k_w, r1 - r0, W_out) of output rows r0:r1 into a view of
+    one reused buffer of about ``_TILE`` elements.  Each block is contracted
+    with the kernel as (groups, C_out/groups, C_in/groups*k_h*k_w) in one
+    batched float64 matmul, gets the bias added in float64, and is rounded
+    into its rows of ``out``.
+    """
+    n, co, ho, wo = out.shape
+    _, cg, kh, kw = p.kernel.shape
+    depth = p.in_channels * kh * kw
+    rows = min(ho, max(1, _TILE // (n * depth * wo)))
+    buf = np.empty(n * depth * rows * wo)
+    k64 = p.kernel.astype(np.float64).reshape(p.groups, co // p.groups, cg * kh * kw)
+    bias = None if p.bias is None else p.bias.astype(np.float64)[:, None]
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        cols = buf[: n * depth * (r1 - r0) * wo].reshape(n, p.in_channels, kh * kw, r1 - r0, wo)
+        fill(cols, r0, r1)
+        block = np.matmul(k64, cols.reshape(n, p.groups, cg * kh * kw, -1)).reshape(n, co, -1)
+        if bias is not None:
+            block += bias
+        out[:, :, r0:r1] = block.reshape(n, co, r1 - r0, wo)
 
 
 def batchnorm_inference(x: FeatureMap, p: BNParams) -> FeatureMap:

@@ -16,6 +16,7 @@ from nmvg.fusion import (
     tmdf_fuse,
     unflatten_spatial,
 )
+from nmvg import tensor
 from nmvg.tensor import ConvParams, ShapeError, conv2d
 from oracles import deform_ref, eca_ref, rand_tmdf, sinusoid_ref, tmdf_ref
 
@@ -146,6 +147,51 @@ class TestDeformConv:
             warnings.simplefilter("error")
             out = deform_conv(x, p)
         assert np.array_equal(out, np.broadcast_to(main_b[None, :, None, None], out.shape))
+
+    def test_small_tiles_match_bilinear_oracle(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        c = 3
+        p = _deform_params(rng, c, offset_scale=0.7)
+        x = rng.standard_normal((2, c, 9, 6)).astype(np.float32)
+        whole = deform_conv(x, p)
+        # Two output rows per tile: five tiles, the last one ragged.
+        monkeypatch.setattr(tensor, "_TILE", 2 * 2 * c * 9 * 6)
+        tiled = deform_conv(x, p)
+        want = deform_ref(
+            x, p.offset_conv.kernel, p.offset_conv.bias, p.main.kernel, p.main.bias
+        )
+        np.testing.assert_allclose(tiled, want, atol=1e-4)
+        assert np.array_equal(tiled, whole)
+
+    @pytest.mark.parametrize(
+        "k,stride,groups", [(3, 2, 1), (3, 1, 2), (5, 1, 1), (3, 1, 4)]
+    )
+    def test_small_tiles_equal_whole(self, monkeypatch, k, stride, groups):
+        """Strided, grouped, depthwise and 5x5 deforms tile bit for bit."""
+        rng = np.random.default_rng(12 + k + stride + groups)
+        c, n, h, w = 4, 2, 13, 7
+        pad = k // 2
+        p = DeformParams(
+            offset_conv=ConvParams(
+                kernel=(0.3 * rng.standard_normal((2 * k * k, c, k, k))).astype(np.float32),
+                bias=(0.7 * rng.standard_normal(2 * k * k)).astype(np.float32),
+                stride=stride,
+                padding=pad,
+            ),
+            main=ConvParams(
+                kernel=rng.standard_normal((4, c // groups, k, k)).astype(np.float32),
+                bias=rng.standard_normal(4).astype(np.float32),
+                stride=stride,
+                padding=pad,
+                groups=groups,
+            ),
+        )
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        whole = deform_conv(x, p)
+        _, _, ho, wo = whole.shape
+        assert ho >= 5
+        monkeypatch.setattr(tensor, "_TILE", 2 * n * c * k * k * wo)
+        assert np.array_equal(deform_conv(x, p), whole)
 
     def test_offset_channel_count_enforced(self):
         with pytest.raises(ShapeError):

@@ -28,10 +28,15 @@ class TestDetectionBox:
         b = DetectionBox(np.float32(1), np.float32(2), np.float32(3), np.float32(4), np.float32(0.5))
         assert all(type(v) is float for v in (b.cx, b.cy, b.w, b.h, b.score))
 
-    @pytest.mark.parametrize("w,h", [(0.0, 1.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("w,h", [(0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (1.0, np.nan)])
     def test_degenerate_sides_rejected(self, w, h):
         with pytest.raises(ValueError):
             DetectionBox(0, 0, w, h, 0.5)
+
+    @pytest.mark.parametrize("cx,cy", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_centre_rejected(self, cx, cy):
+        with pytest.raises(ValueError, match="finite"):
+            DetectionBox(cx, cy, 1, 1, 0.5)
 
     @pytest.mark.parametrize("score", [0.0, 1.0, -0.1, 1.5])
     def test_score_open_interval(self, score):

@@ -238,6 +238,14 @@ class TestEnergyTrace:
         with pytest.raises(ValueError):
             EnergyTrace(("a",), np.array([-1.0]), np.array([0.5]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["trained", "untrained"])
+    def test_non_finite_reading_rejected(self, bad, column):
+        readings = {"trained": np.array([5.0, 6.0]), "untrained": np.array([1.0, 2.0])}
+        readings[column][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EnergyTrace(("a", "b"), readings["trained"], readings["untrained"], 2)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EnergyTrace(("a",), np.array([1.0, 2.0]), np.array([0.5, 0.5]), 2)
@@ -271,6 +279,12 @@ class TestMept:
         t = self._trace([10.0, 10.0], [20.0, 20.0], 2)
         with pytest.raises(ValueError, match="corrupt"):
             mept([50.0], t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_perf_rejected(self, bad):
+        t = self._trace([50.0], [22.0], 1)
+        with pytest.raises(ValueError, match="finite"):
+            mept([50.0, bad], t)
 
     def test_empty_perf_rejected(self):
         t = self._trace([50.0], [22.0], 1)

@@ -4,7 +4,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from nmvg.archive import ArchiveError, MissingParameterError, WeightArchive, load_archive, save_archive
+from nmvg.archive import (
+    ArchiveError,
+    MissingParameterError,
+    NonFiniteError,
+    WeightArchive,
+    load_archive,
+    save_archive,
+)
 from nmvg.cli import main
 from nmvg.encoders import tokenize
 from nmvg.model import (
@@ -17,8 +24,9 @@ from nmvg.model import (
     parameter_shapes,
     run_infer,
 )
-from nmvg.rasters import read_boxes, read_mask, write_boxes, write_mask
+from nmvg.rasters import RasterError, read_boxes, read_mask, write_boxes, write_mask
 from nmvg.heads import DetectionBox
+from nmvg.tensor import ShapeError
 
 
 SMALL = RunConfig(input_size=64, seed=11)
@@ -171,6 +179,14 @@ class TestModelBinding:
         with pytest.raises(ArchiveError):
             Model.from_archive(SMALL, small_archive, mode="fused")
 
+    def test_non_finite_weight_rejected_at_bind(self, small_archive):
+        broken = WeightArchive(entries=dict(small_archive.entries))
+        kernel = broken.entries["fpn.smooth2.kernel"].copy()
+        kernel[0, 0, 1, 1] = np.nan
+        broken.entries["fpn.smooth2.kernel"] = kernel
+        with pytest.raises(NonFiniteError, match="fpn.smooth2.kernel"):
+            Model.from_archive(SMALL, broken)
+
 
 class TestForward:
     def test_output_shapes(self, small_archive):
@@ -223,6 +239,19 @@ class TestForward:
         inputs[which][0, 1, 5, 7] = bad
         tokens = tokenize("the red boat", list(DEFAULT_VOCAB), SMALL.text_len)
         with pytest.raises(ValueError, match=f"{which} input"):
+            model.forward(inputs["image"], inputs["radar"], tokens)
+
+    @pytest.mark.parametrize("which", ["image", "radar"])
+    def test_input_extent_must_match_config(self, small_archive, which):
+        model = Model.from_archive(SMALL, small_archive)
+        rng = np.random.default_rng(4)
+        inputs = {
+            "image": rng.random((1, 3, 64, 64), dtype=np.float32),
+            "radar": rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
+        }
+        inputs[which] = np.zeros((1, 3, 96, 96), dtype=np.float32)
+        tokens = tokenize("the red boat", list(DEFAULT_VOCAB), SMALL.text_len)
+        with pytest.raises(ShapeError, match=rf"{which} input extent \(96, 96\).*\(64, 64\)"):
             model.forward(inputs["image"], inputs["radar"], tokens)
 
 
@@ -305,6 +334,14 @@ class TestBoxFileRoundTrip:
         p = tmp_path / "boxes.txt"
         write_boxes(p, [])
         assert read_boxes(p) == []
+
+    @pytest.mark.parametrize("with_scores", [True, False])
+    @pytest.mark.parametrize("line", ["nan 2 3 4 0.5", "1 inf 3 4 0.5", "1 2 3 -inf 0.5", "1 2 3 4 nan"])
+    def test_non_finite_field_rejected(self, tmp_path, line, with_scores):
+        p = tmp_path / "boxes.txt"
+        p.write_text("1 2 3 4 0.5\n" + line + "\n")
+        with pytest.raises(RasterError, match=r"boxes.txt:2: non-finite"):
+            read_boxes(p, with_scores=with_scores)
 
 
 class TestCli:
@@ -396,6 +433,20 @@ class TestCli:
         rc = main(["mept", "--trace", str(trace), "--perf", "70.0", "--tau", "10"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "2.5"
+
+    @pytest.mark.parametrize(
+        "reading,perf", [("nan", "70.0"), ("inf", "70.0"), ("50.0", "nan"), ("50.0", "inf")]
+    )
+    def test_mept_non_finite_input_exits_two(self, tmp_path, capsys, reading, perf):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "sample_id,energy_trained,energy_untrained\n"
+            + "".join(f"s{i},{reading if i == 3 else 50.0},22.0\n" for i in range(10))
+        )
+        assert main(["mept", "--trace", str(trace), "--perf", perf]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
 
     def test_mept_corrupt_trace_exits_two(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmvg import tensor
 from nmvg.tensor import (
     BNParams,
     ConvParams,
@@ -93,6 +96,75 @@ class TestConv2d:
     def test_output_dtype_float32(self):
         p = ConvParams(kernel=np.ones((1, 1, 1, 1), dtype=np.float32))
         assert conv2d(np.ones((1, 1, 2, 2), dtype=np.float32), p).dtype == np.float32
+
+
+class TestConvTiles:
+    """Tiling is invisible: small tiles match the loop oracle, and equal the
+    single-tile result bit for bit."""
+
+    # (batch, C_in, H, W, C_out, groups, k, stride, padding)
+    @pytest.mark.parametrize(
+        "n,cin,h,w,cout,groups,k,stride,padding",
+        [
+            (2, 3, 7, 6, 4, 1, 3, 1, 1),  # batch 2
+            (2, 4, 13, 9, 3, 1, 3, 2, 1),  # stride 2
+            (1, 4, 9, 8, 6, 2, 3, 1, 1),  # groups 2
+            (2, 3, 9, 9, 4, 1, 5, 1, 2),  # 5x5
+            (2, 5, 8, 7, 10, 5, 3, 1, 1),  # depthwise, channel multiplier 2
+            (1, 7, 11, 11, 7, 7, 5, 2, 2),  # depthwise 5x5 stride 2
+        ],
+    )
+    def test_small_tiles_match_loop_oracle(
+        self, monkeypatch, n, cin, h, w, cout, groups, k, stride, padding
+    ):
+        rng = np.random.default_rng(n * 1000 + cin * 100 + groups * 10 + k)
+        x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
+        kernel = rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32)
+        bias = rng.standard_normal(cout).astype(np.float32)
+        p = ConvParams(kernel=kernel, bias=bias, stride=stride, padding=padding, groups=groups)
+        whole = conv2d(x, p)
+        _, _, ho, wo = whole.shape
+        if groups == cin:
+            # Two channels per block: accumulator and product share a tile.
+            tile, blocks = 2 * 2 * n * (cout // cin) * ho * wo, cin
+        else:
+            # Two output rows per tile.
+            tile, blocks = 2 * n * cin * k * k * wo, ho
+        assert blocks >= 5 and blocks % 2 == 1  # >= 3 tiles, the last one ragged
+        monkeypatch.setattr(tensor, "_TILE", tile)
+        tiled = conv2d(x, p)
+        np.testing.assert_allclose(
+            tiled, conv2d_ref(x, kernel, bias, stride, padding, groups), atol=1e-5
+        )
+        assert np.array_equal(tiled, whole)
+
+    def test_one_element_tiles_equal_whole(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 4, 6, 5)).astype(np.float32)
+        dense = ConvParams(rng.standard_normal((4, 4, 3, 3)).astype(np.float32), padding=1)
+        dw = ConvParams(rng.standard_normal((4, 1, 3, 3)).astype(np.float32), padding=1, groups=4)
+        whole = [conv2d(x, dense), conv2d(x, dw)]
+        monkeypatch.setattr(tensor, "_TILE", 1)
+        assert np.array_equal(conv2d(x, dense), whole[0])
+        assert np.array_equal(conv2d(x, dw), whole[1])
+
+    def test_transient_memory_stays_near_output_size(self):
+        """A 64->64 3x3 conv at 160x160 (the largest FPN smooth at 640)
+        never holds a whole-map float64 temporary."""
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((1, 64, 160, 160)).astype(np.float32)
+        p = ConvParams(
+            rng.standard_normal((64, 64, 3, 3)).astype(np.float32),
+            rng.standard_normal(64).astype(np.float32),
+            padding=1,
+        )
+        tracemalloc.start()
+        try:
+            out = conv2d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out.nbytes
 
 
 class TestBatchnorm:
