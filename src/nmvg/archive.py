@@ -16,6 +16,7 @@ an absent name fails loudly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,7 +136,7 @@ def load_archive(path: str | Path) -> WeightArchive:
             raise ManifestError(f"manifest line {lineno}: invalid shape {shape}")
         if offset < 0:
             raise ManifestError(f"manifest line {lineno}: negative offset")
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: an int64 product can wrap past the bounds check
         end = offset + 4 * count
         if end > len(blob):
             raise BlobBoundsError(

@@ -76,5 +76,10 @@ def enmoe_forward(f: FeatureMap, p: EnMoeParams) -> FeatureMap:
     base = conv2d(f, p.w_o)
     t1 = float(_sigmoid(np.array(p.theta1_raw, dtype=np.float64)))
     t2 = float(_sigmoid(np.array(p.theta2_raw, dtype=np.float64)))
-    blended = np.float32(t1) * gate_edge * base + np.float32(t2) * gate_local * base
-    return (blended + f).astype(np.float32)
+    gate_edge *= np.float32(t1)
+    gate_edge *= base
+    gate_local *= np.float32(t2)
+    gate_local *= base
+    gate_edge += gate_local
+    gate_edge += f
+    return gate_edge

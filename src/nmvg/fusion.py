@@ -59,6 +59,7 @@ def eca(x: FeatureMap, p: EcaParams) -> FeatureMap:
     gate = sigmoid(conv1d(GAP(x))) with zero padding over the channel axis,
     broadcast multiplied back onto x.
     """
+    x = np.asarray(x, dtype=np.float32)
     pooled = global_avg_pool(x)
     k = p.weights.shape[0]
     pad = k // 2
@@ -66,7 +67,7 @@ def eca(x: FeatureMap, p: EcaParams) -> FeatureMap:
     win = sliding_window_view(padded, k, axis=1)
     logits = (win.astype(np.float64) @ p.weights.astype(np.float64)).astype(np.float32)
     gate = _sigmoid(logits)
-    return (x * gate[:, :, None, None]).astype(np.float32)
+    return x * gate[:, :, None, None]
 
 
 @dataclass(frozen=True, eq=False)

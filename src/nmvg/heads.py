@@ -241,8 +241,9 @@ def msrep_forward(x: FeatureMap, p: MsRepParams) -> FeatureMap:
         return conv2d(x, p.fused)
     y3 = batchnorm_inference(conv2d(x, p.conv3), p.bn3)
     y1 = batchnorm_inference(conv2d(x, p.conv1), p.bn1)
-    yid = batchnorm_inference(x, p.bn_id)
-    return (y3 + y1 + yid).astype(np.float32)
+    y3 += y1
+    y3 += batchnorm_inference(x, p.bn_id)
+    return y3
 
 
 def _fold_bn(kernel64: np.ndarray, bias64: np.ndarray | None, bn: BNParams):

@@ -205,9 +205,17 @@ class EnergyTrace:
                     f"trace {path} must have columns {sorted(need)}, got {reader.fieldnames}"
                 )
             for row in reader:
+                # DictReader files a short row's missing fields as None and a
+                # long row's extra fields under the key None.
+                where = f"{path}:{reader.line_num}"
+                if None in row or None in row.values():
+                    raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+                try:
+                    tr.append(float(row["energy_trained"]))
+                    un.append(float(row["energy_untrained"]))
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric energy reading") from None
                 ids.append(row["sample_id"])
-                tr.append(float(row["energy_trained"]))
-                un.append(float(row["energy_untrained"]))
         if not ids:
             raise ValueError(f"trace {path} has no data rows")
         return cls(

@@ -45,6 +45,8 @@ def _read_netpbm(data: bytes, path) -> tuple[str, int, int, np.ndarray]:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise RasterError(f"{path}: malformed netpbm header") from None
+    if width < 0 or height < 0:
+        raise RasterError(f"{path}: negative netpbm size {width}x{height}")
     if maxval != 255:
         raise RasterError(f"{path}: only maxval 255 is supported, got {maxval}")
     channels = 3 if magic == "P6" else 1

@@ -4,15 +4,18 @@ pooling, resampling and edge extraction.
 The in-memory currency of the whole runtime is a float32 numpy array laid
 out row-major as (batch, channel, row, col).  Every function here is pure:
 inputs are never mutated and outputs are freshly allocated.  Convolutions
-take one of two paths: depthwise kernels shift-and-accumulate their taps,
-dense and grouped kernels contract im2col columns in batched matmuls.
-Both accumulate in float64 before rounding back to float32, which keeps
-results stable enough to compare against scalar reference loops.  A conv
-allocates its float32 output once and works through it in tiles (blocks
-of output rows, or of channels when depthwise) whose float64 work fits
-one reused buffer of about ``_TILE`` elements, so no float64 temporary
-ever spans the whole map; each tile is rounded straight into its slice
-of the output.
+read their zero-padded input as stride-phase planes (``_planes``: plane
+(a, b) holds padded rows a::stride and columns b::stride) and take one of
+two paths: depthwise kernels shift-and-accumulate their taps, each tap
+one flat slice of a float64 plane, and dense and grouped kernels copy
+im2col columns out of float32 planes and contract them in batched
+matmuls.  Both accumulate in float64 before rounding back to float32,
+which keeps results stable enough to compare against scalar reference
+loops.  A conv allocates its float32 output once and works through it in
+tiles (blocks of output rows, and of channels when depthwise) whose work
+fits buffers of about ``_TILE`` elements reused from tile to tile, so no
+float64 temporary ever spans the whole map and the input is never padded
+as a whole; each tile is rounded straight into its slice of the output.
 """
 
 from __future__ import annotations
@@ -148,12 +151,14 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     """Grouped 2-D cross-correlation with zero padding.
 
     Output spatial dims follow floor((H + 2*pad - k_h) / stride) + 1.
-    Depthwise kernels (``groups == C_in``, any channel multiplier) run as a
-    shift-and-accumulate over blocks of channels: each kernel tap is a
-    strided view of the padded input, scaled per channel and added in tap
-    order.  Dense and grouped kernels run as im2col columns for blocks of
-    output rows, contracted by ``_contract_rows``.  Both paths accumulate
-    in float64 and round each block to float32 in the output.
+    Both paths read the padded input as stride-phase planes (``_planes``)
+    built one tile at a time.  Depthwise kernels (``groups == C_in``, any
+    channel multiplier) shift-and-accumulate over blocks of channels and
+    output rows: each kernel tap is one flat slice of a float64 phase
+    plane, scaled per channel and added in tap order.  Dense and grouped
+    kernels copy their float64 im2col columns out of float32 planes for
+    blocks of output rows and contract them in ``_contract_rows``.  Both paths accumulate in
+    float64 and round each block to float32 in the output.
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -164,42 +169,113 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
         raise ShapeError(
             f"spatial dims {(h, w)} too small for kernel {(kh, kw)} at padding {p.padding}"
         )
-    if p.padding:
-        pad = p.padding
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     s = p.stride
-    ho = (x.shape[2] - kh) // s + 1
-    wo = (x.shape[3] - kw) // s + 1
+    ho = (h + 2 * p.padding - kh) // s + 1
+    wo = (w + 2 * p.padding - kw) // s + 1
+    # Plane columns: the output columns plus the spare ones a tap reads.
+    wq = wo + (kw - 1) // s
     out = np.empty((n, co, ho, wo), dtype=np.float32)
     if p.groups != c:
+        # A block of about _TILE plane elements serves every column tile in
+        # it, so the rows a tap reads beyond a tile are built once a block.
+        # The planes stay float32: the im2col copy does the cast, and
+        # float64 planes would double the bytes each tap reads.
+        span = max(1, _TILE // (n * c * s * s * wq))
+        planes, p0, p1, buf = None, 0, 0, np.empty(0, dtype=np.float32)
 
         def fill(cols, r0, r1):
+            nonlocal buf, planes, p0, p1
+            if r1 > p1:
+                p0, p1 = r0, min(ho, r0 + max(span, r1 - r0))
+                planes, buf = _planes(x, p, p0, p1, buf)
             for t in range(kh * kw):
                 i, j = divmod(t, kw)
-                cols[:, :, t] = x[:, :, i + s * r0 : i + s * (r1 - 1) + 1 : s, j : j + s * wo : s]
+                plane = planes[:, :, (i % s) * s + j % s]
+                top = r0 - p0 + i // s
+                cols[:, :, t] = plane[:, :, top : top + r1 - r0, j // s : j // s + wo]
 
         _contract_rows(out, p, fill)
         return out
     m = co // c
-    k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1, 1)
-    bias = None if p.bias is None else p.bias.astype(np.float64).reshape(c, m, 1, 1)
-    # The accumulator and the product of one tap share the tile.
-    block = min(c, max(1, _TILE // (2 * n * m * ho * wo)))
-    acc_buf, prod_buf = np.empty((2, n * block * m * ho * wo))
+    k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1)
+    bias = None if p.bias is None else p.bias.astype(np.float64).reshape(c, m, 1)
+    # Tap (i, j) of output (r, q) is plane (i % s, j % s) at row r + i // s,
+    # column q + j // s.  Accumulating on rows of wq plane columns turns
+    # every tap into one flat slice; the wq - wo spare columns are dropped.
+    # Per channel and output row: accumulator, tap product and the planes.
+    per_row = n * wq * (2 * m + s * s)
+    rows = min(ho, max(1, _TILE // per_row))
+    block = min(c, max(1, _TILE // (per_row * rows)))
+    acc_buf, prod_buf = np.empty((2, n * block * m * rows * wq))
+    buf = np.empty(0)
     for c0 in range(0, c, block):
         c1 = min(c0 + block, c)
-        acc = acc_buf[: n * (c1 - c0) * m * ho * wo].reshape(n, c1 - c0, m, ho, wo)
-        prod = prod_buf[: acc.size].reshape(acc.shape)
-        acc.fill(0.0)
-        for t in range(kh * kw):
-            i, j = divmod(t, kw)
-            tap = x[:, c0:c1, None, i : i + s * ho : s, j : j + s * wo : s]
-            np.multiply(tap, k64[c0:c1, :, t], out=prod)
-            acc += prod
-        if bias is not None:
-            acc += bias[c0:c1]
-        out[:, c0 * m : c1 * m] = acc.reshape(n, (c1 - c0) * m, ho, wo)
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            size = (r1 - r0) * wq
+            planes, buf = _planes(x[:, c0:c1], p, r0, r1, buf)
+            flat = planes.reshape(n, c1 - c0, planes.shape[2], -1)
+            acc = acc_buf[: n * (c1 - c0) * m * size].reshape(n, c1 - c0, m, size)
+            prod = prod_buf[: acc.size].reshape(acc.shape)
+            acc.fill(0.0)
+            for t in range(kh * kw):
+                i, j = divmod(t, kw)
+                start = (i // s) * wq + j // s
+                tap = flat[:, :, None, (i % s) * s + j % s, start : start + size]
+                np.multiply(tap, k64[c0:c1, :, t], out=prod)
+                acc += prod
+            if bias is not None:
+                acc += bias[c0:c1]
+            block_out = acc.reshape(n, (c1 - c0) * m, r1 - r0, wq)
+            out[:, c0 * m : c1 * m, r0:r1] = block_out[..., :wo]
     return out
+
+
+def _planes(
+    x: np.ndarray, p: ConvParams, r0: int, r1: int, buf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-padded input of conv ``p`` over output rows r0:r1, split
+    into stride-phase planes of ``buf``'s dtype.
+
+    Returns ``(planes, buf)``.  planes is (N, C, stride**2, rows, wq):
+    plane a * stride + b holds padded rows (r0 + t) * stride + a and
+    columns u * stride + b, with wq = W_out + (k_w - 1) // stride.  rows
+    covers every row a tap of those output rows reads, plus one row when
+    the last flat tap slice of ``conv2d``'s depthwise path runs past them.
+    planes is a view of ``buf`` when that is large enough, else of a new
+    buffer, which is returned for the next tile; only the border strips
+    around the copied input are zeroed.  An unpadded stride-1 1x1 conv
+    gets a view of ``x`` (float32) and no copy.
+    """
+    n, c, h, w = x.shape
+    _, _, kh, kw = p.kernel.shape
+    s, pad = p.stride, p.padding
+    if kh == kw == s == 1 and pad == 0:
+        return x[:, :, None, r0:r1], buf
+    wq = (w + 2 * pad - kw) // s + 1 + (kw - 1) // s
+    rows = r1 - r0 + (kh - 1) // s + ((kw - 1) // s > 0)
+    size = n * c * s * s * rows * wq
+    if buf.size < size:
+        buf = np.empty(size, dtype=buf.dtype)
+    planes = buf[:size].reshape(n, c, s * s, rows, wq)
+    for a in range(s):
+        # Plane rows t_lo:t_hi and columns u_lo:u_hi hold input pixels.
+        t_lo = min(rows, max(0, -((a - pad) // s) - r0))
+        t_hi = max(t_lo, min(rows, -((a - pad - h) // s) - r0))
+        y0 = (r0 + t_lo) * s + a - pad
+        for b in range(s):
+            u_lo = min(wq, max(0, -((b - pad) // s)))
+            u_hi = max(u_lo, min(wq, -((b - pad - w) // s)))
+            x0 = u_lo * s + b - pad
+            plane = planes[:, :, a * s + b]
+            plane[:, :, :t_lo] = 0.0
+            plane[:, :, t_hi:] = 0.0
+            plane[:, :, t_lo:t_hi, :u_lo] = 0.0
+            plane[:, :, t_lo:t_hi, u_hi:] = 0.0
+            plane[:, :, t_lo:t_hi, u_lo:u_hi] = x[
+                :, :, y0 : y0 + s * (t_hi - t_lo) : s, x0 : x0 + s * (u_hi - u_lo) : s
+            ]
+    return planes, buf
 
 
 def _contract_rows(
@@ -237,17 +313,19 @@ def batchnorm_inference(x: FeatureMap, p: BNParams) -> FeatureMap:
     x = _as_f32(x, 4, "batchnorm input")
     if x.shape[1] != p.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, batchnorm expects {p.channels}")
-    gamma = p.gamma[:, None, None]
-    beta = p.beta[:, None, None]
-    mean = p.running_mean[:, None, None]
     std = np.sqrt(p.running_var + np.float32(p.epsilon))[:, None, None]
-    return (gamma * (x - mean) / std + beta).astype(np.float32)
+    y = x - p.running_mean[:, None, None]
+    y *= p.gamma[:, None, None]
+    y /= std
+    y += p.beta[:, None, None]
+    return y
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; pick the stable form for each sign.
+    # exp(-|x|) never overflows.  The numerator is 1 where x >= 0 (e <= 1
+    # there) and e below, so the maximum picks the stable form per sign.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+    return np.maximum(e, x >= 0) / (1 + e)
 
 
 def activation(x: np.ndarray, kind: ActivationKind) -> np.ndarray:
@@ -255,7 +333,9 @@ def activation(x: np.ndarray, kind: ActivationKind) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, np.float32(0.0))
     if kind == "silu":
-        return (x * _sigmoid(x)).astype(np.float32)
+        y = _sigmoid(x)
+        y *= x
+        return y
     if kind == "sigmoid":
         return _sigmoid(x)
     raise ValueError(f"unknown activation kind: {kind!r}")
@@ -293,7 +373,10 @@ def sobel(x: FeatureMap) -> FeatureMap:
     py = ConvParams(np.tile(_SOBEL_Y, (c, 1, 1, 1)), padding=1, groups=c)
     gx = conv2d(x, px)
     gy = conv2d(x, py)
-    return np.sqrt(gx * gx + gy * gy).astype(np.float32)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx, out=gx)
 
 
 def _upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:

@@ -58,6 +58,21 @@ def silu_ref(x):
     return np.asarray(x, dtype=np.float64) * sigmoid_ref(x)
 
 
+def sigmoid_where(x):
+    """Stable two-branch sigmoid in the input's dtype, each branch picked with
+    ``np.where``: the bitwise reference for the runtime's sigmoid."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+
+
+def bn_expr(x, gamma, beta, mean, var, eps):
+    """Inference batchnorm as one out-of-place float32 expression: the
+    bitwise reference for the runtime's batchnorm."""
+    g, b, m, v = (np.asarray(a, dtype=np.float32)[:, None, None] for a in (gamma, beta, mean, var))
+    std = np.sqrt(v + np.float32(eps))
+    return (g * (x - m) / std + b).astype(np.float32)
+
+
 def maxpool1d_ref(seq, kernel=3, stride=2):
     seq = np.asarray(seq, dtype=np.float64)
     length = seq.shape[-1]

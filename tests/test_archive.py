@@ -133,6 +133,14 @@ class TestLoadErrors:
         with pytest.raises(BlobBoundsError, match="out of bounds"):
             load_archive(p)
 
+    @pytest.mark.parametrize("shape", [b"3,4611686018427387904", b"4611686018427387904,4"])
+    def test_shape_past_int64_is_out_of_bounds(self, tmp_path, shape):
+        # 3 * 2**62 and 4 * 2**62 wrap to negative and zero in int64.
+        p = tmp_path / "w.nmvg"
+        p.write_bytes(_raw(b"x f32 " + shape + b" 0\n", b"\0" * 16))
+        with pytest.raises(BlobBoundsError, match="out of bounds"):
+            load_archive(p)
+
     def test_overlapping_entries(self, tmp_path):
         p = tmp_path / "w.nmvg"
         p.write_bytes(_raw(b"x f32 2 0\ny f32 2 4\n", b"\0" * 12))

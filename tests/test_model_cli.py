@@ -344,6 +344,15 @@ class TestBoxFileRoundTrip:
             read_boxes(p, with_scores=with_scores)
 
 
+class TestNetpbmHeader:
+    @pytest.mark.parametrize("header", [b"P5 -1 -1 255\n", b"P5 -2 -3 255\n"])
+    def test_negative_size_rejected(self, tmp_path, header):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(header + b"\0" * 6)
+        with pytest.raises(RasterError, match="negative netpbm size"):
+            read_mask(path)
+
+
 class TestCli:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -447,6 +456,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("s0", "expected 3 fields"),
+            ("s0,10.0", "expected 3 fields"),
+            ("s0,50.0,22.0,9.0", "expected 3 fields"),
+            ("s0,50.0,lots", "non-numeric energy reading"),
+        ],
+    )
+    def test_mept_malformed_trace_row_exits_two(self, tmp_path, capsys, row, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"sample_id,energy_trained,energy_untrained\ns1,50.0,22.0\n{row}\n")
+        assert main(["mept", "--trace", str(trace), "--perf", "70.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{trace}:3: {message}" in captured.err
 
     def test_mept_corrupt_trace_exits_two(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

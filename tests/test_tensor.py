@@ -10,6 +10,7 @@ from nmvg.tensor import (
     BNParams,
     ConvParams,
     ShapeError,
+    _sigmoid,
     activation,
     batchnorm_inference,
     conv2d,
@@ -20,11 +21,13 @@ from nmvg.tensor import (
     upsample,
 )
 from oracles import (
+    bn_expr,
     bn_ref,
     conv2d_ref,
     gap_ref,
     maxpool1d_ref,
     sigmoid_ref,
+    sigmoid_where,
     silu_ref,
     sobel_ref,
     upsample_bilinear_ref,
@@ -98,6 +101,18 @@ class TestConv2d:
         assert conv2d(np.ones((1, 1, 2, 2), dtype=np.float32), p).dtype == np.float32
 
 
+def _ragged_tile(n, cin, cout, groups, k, stride, ho, wo):
+    """A ``_TILE`` that splits a conv into blocks of r output rows, r >= 2 not
+    dividing ho, so the last block is ragged.  Depthwise blocks hold one
+    channel (accumulator, tap product and phase planes per row), or two
+    channels of a one-row map."""
+    r = next(r for r in range(2, ho + 2) if ho % r)
+    if groups == cin:
+        wq = wo + (k - 1) // stride
+        return r * n * wq * (2 * (cout // cin) + stride**2)
+    return r * n * cin * k * k * wo
+
+
 class TestConvTiles:
     """Tiling is invisible: small tiles match the loop oracle, and equal the
     single-tile result bit for bit."""
@@ -112,6 +127,24 @@ class TestConvTiles:
             (2, 3, 9, 9, 4, 1, 5, 1, 2),  # 5x5
             (2, 5, 8, 7, 10, 5, 3, 1, 1),  # depthwise, channel multiplier 2
             (1, 7, 11, 11, 7, 7, 5, 2, 2),  # depthwise 5x5 stride 2
+            (1, 3, 13, 9, 3, 3, 3, 2, 1),  # depthwise stride 2
+            (1, 3, 13, 10, 3, 3, 3, 3, 1),  # depthwise stride 3
+            (1, 2, 14, 11, 2, 2, 5, 3, 2),  # depthwise 5x5 stride 3
+            (1, 2, 11, 8, 5, 1, 3, 3, 2),  # dense stride 3, padding > k // 2
+            (1, 3, 9, 8, 3, 3, 3, 1, 0),  # depthwise 3x3 unpadded: flat tail
+            (1, 2, 11, 9, 2, 2, 5, 1, 0),  # depthwise 5x5 unpadded
+            (1, 2, 11, 7, 3, 1, 5, 1, 0),  # dense 5x5 unpadded
+            (1, 3, 7, 7, 3, 3, 3, 1, 3),  # depthwise, padding 3 > k // 2
+            (1, 5, 1, 9, 5, 5, 3, 1, 1),  # depthwise, one-row map
+            (1, 5, 1, 7, 10, 5, 3, 2, 1),  # depthwise multiplier 2, one row, stride 2
+            (1, 2, 9, 1, 3, 1, 3, 1, 1),  # dense, one-column map
+            (2, 3, 9, 7, 6, 3, 3, 2, 1),  # batch 2, depthwise multiplier 2
+            (2, 4, 11, 7, 6, 2, 3, 2, 2),  # batch 2, grouped dense, padding 2
+            (1, 3, 9, 8, 3, 3, 1, 2, 0),  # depthwise 1x1 stride 2
+            (1, 3, 11, 8, 4, 1, 1, 2, 1),  # dense 1x1 stride 2, padded
+            (1, 3, 7, 5, 4, 1, 1, 1, 0),  # dense 1x1: planes are a view of x
+            (1, 2, 40, 5, 3, 1, 3, 1, 1),  # dense, three plane blocks of several tiles
+            (1, 2, 21, 41, 3, 1, 3, 2, 1),  # dense stride 2, two tiles per plane block
         ],
     )
     def test_small_tiles_match_loop_oracle(
@@ -122,21 +155,47 @@ class TestConvTiles:
         kernel = rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32)
         bias = rng.standard_normal(cout).astype(np.float32)
         p = ConvParams(kernel=kernel, bias=bias, stride=stride, padding=padding, groups=groups)
+        ref = conv2d_ref(x, kernel, bias, stride, padding, groups)
         whole = conv2d(x, p)
         _, _, ho, wo = whole.shape
-        if groups == cin:
-            # Two channels per block: accumulator and product share a tile.
-            tile, blocks = 2 * 2 * n * (cout // cin) * ho * wo, cin
-        else:
-            # Two output rows per tile.
-            tile, blocks = 2 * n * cin * k * k * wo, ho
-        assert blocks >= 5 and blocks % 2 == 1  # >= 3 tiles, the last one ragged
-        monkeypatch.setattr(tensor, "_TILE", tile)
+        tiles = []  # channels x output rows of each tile
+        planes, contract = tensor._planes, tensor._contract_rows
+
+        def planes_spy(xb, conv, r0, r1, buf):
+            if groups == cin:
+                tiles.append(xb.shape[1] * (r1 - r0))
+            return planes(xb, conv, r0, r1, buf)
+
+        def contract_spy(out, conv, fill):
+            def fill_spy(cols, r0, r1):
+                tiles.append(cin * (r1 - r0))
+                fill(cols, r0, r1)
+
+            contract(out, conv, fill_spy)
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("conv2d padded its whole input")
+
+        monkeypatch.setattr(tensor, "_planes", planes_spy)
+        monkeypatch.setattr(tensor, "_contract_rows", contract_spy)
+        monkeypatch.setattr(tensor, "_TILE", _ragged_tile(n, cin, cout, groups, k, stride, ho, wo))
+        monkeypatch.setattr(np, "pad", no_pad)
         tiled = conv2d(x, p)
-        np.testing.assert_allclose(
-            tiled, conv2d_ref(x, kernel, bias, stride, padding, groups), atol=1e-5
-        )
+        monkeypatch.undo()
+        assert len(tiles) >= 3 and tiles[-1] < tiles[0]  # the last tile is ragged
+        np.testing.assert_allclose(tiled, ref, atol=1e-5)
         assert np.array_equal(tiled, whole)
+
+    def test_taps_of_padding_alone_sum_to_positive_zero(self):
+        """With padding 3 a 3x3 kernel's corner outputs read only padding:
+        each tap adds 0 * k, -0.0 for k < 0, to an accumulator that starts
+        at +0.0, as the loop oracle's does."""
+        x = np.ones((1, 2, 3, 3), dtype=np.float32)
+        kernel = -np.ones((2, 1, 3, 3), dtype=np.float32)
+        out = conv2d(x, ConvParams(kernel, padding=3, groups=2))
+        ref = conv2d_ref(x, kernel, padding=3, groups=2).astype(np.float32)
+        assert out[0, 0, 0, 0] == 0.0
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
 
     def test_one_element_tiles_equal_whole(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -246,6 +305,52 @@ class TestActivation:
             activation(np.zeros((1, 1, 1, 1), dtype=np.float32), "tanh")
 
 
+# Signed zeros, the smallest float32 subnormal and a larger one, where
+# exp(-|x|) leaves the normal range (88.7) and flushes to zero (104).
+_SPECIAL = [0.0, 1e-45, 1e-40, 1.0, 88.7, 104.0, 1e30]
+_SPECIAL_F32 = np.array(_SPECIAL + [-v for v in _SPECIAL], dtype=np.float32)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+class TestElementwiseBits:
+    """Sigmoid, SiLU and batchnorm equal their out-of-place numpy forms bit
+    for bit, signed zeros included."""
+
+    def test_sigmoid(self):
+        x = np.concatenate([_SPECIAL_F32, np.float32([np.inf, -np.inf])]).reshape(1, 1, 2, -1)
+        got = activation(x, "sigmoid")
+        assert got.dtype == np.float32
+        assert np.array_equal(_bits(got), _bits(sigmoid_where(x)))
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1.0, -1.0, 709.8, -745.2, np.inf, -np.inf])
+    def test_sigmoid_0d_float64(self, v):
+        x = np.array(v, dtype=np.float64)
+        got = _sigmoid(x)
+        assert np.asarray(got).dtype == np.float64
+        assert np.float64(got).tobytes() == np.float64(sigmoid_where(x)).tobytes()
+
+    def test_silu(self):
+        normal = 8 * np.random.default_rng(15).standard_normal(50).astype(np.float32)
+        x = np.concatenate([_SPECIAL_F32, normal]).reshape(1, 2, 1, -1)
+        assert np.array_equal(_bits(activation(x, "silu")), _bits(x * sigmoid_where(x)))
+
+    def test_batchnorm(self):
+        normal = np.random.default_rng(14).standard_normal(50).astype(np.float32)
+        x = np.tile(np.concatenate([_SPECIAL_F32, normal]), (1, 4, 1, 1))
+        # Means hit the inputs exactly (signed-zero differences), gammas of
+        # both signs, betas of +0 and -0.
+        g = np.float32([1.5, -0.75, 2.0, -1.0])
+        b = np.float32([0.0, -0.0, 0.25, -0.0])
+        m = np.float32([0.0, 1.0, -0.0, 88.7])
+        v = np.float32([1.0, 0.5, 3.0, 0.0])
+        p = BNParams(gamma=g, beta=b, running_mean=m, running_var=v, epsilon=1e-5)
+        got = batchnorm_inference(x, p)
+        assert np.array_equal(_bits(got), _bits(bn_expr(x, g, b, m, v, 1e-5)))
+
+
 class TestMaxpool1d:
     def test_hand_sequence(self):
         out = maxpool1d(np.array([[1.0, 5.0, 2.0, 4.0, 3.0]], dtype=np.float32))
@@ -348,6 +453,32 @@ class TestFeatureMap:
         fm = feature_map(np.zeros((1, 1, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):
             fm[0, 0, 0, 0] = 1.0
+
+    def test_inputs_pass_through_unchanged(self):
+        """Read-only maps are accepted, and no layer writes into its input."""
+        rng = np.random.default_rng(13)
+        fm = feature_map(rng.standard_normal((2, 4, 7, 6)).astype(np.float32))
+        kernels = {
+            "dense 3x3": ConvParams(rng.standard_normal((3, 4, 3, 3)).astype(np.float32), padding=1),
+            "dense 1x1": ConvParams(rng.standard_normal((3, 4, 1, 1)).astype(np.float32)),
+            "dw 3x3 s2": ConvParams(
+                rng.standard_normal((4, 1, 3, 3)).astype(np.float32), stride=2, padding=1, groups=4
+            ),
+            "dw 1x1": ConvParams(rng.standard_normal((4, 1, 1, 1)).astype(np.float32), groups=4),
+        }
+        bn = BNParams(
+            gamma=np.float32([1.0, 2.0, -1.0, 0.5]),
+            beta=np.float32([0.0, 1.0, 0.0, -1.0]),
+            running_mean=np.float32([0.1, 0.0, -0.2, 0.0]),
+            running_var=np.float32([1.0, 0.5, 2.0, 1.0]),
+        )
+        for x in (fm, fm.copy()):
+            outs = [conv2d(x, k) for k in kernels.values()]
+            outs += [batchnorm_inference(x, bn), sobel(x)]
+            outs += [activation(x, kind) for kind in ("relu", "silu", "sigmoid")]
+            assert np.array_equal(x, fm)
+            assert all(not np.shares_memory(o, x) for o in outs)
+        assert not fm.flags.writeable
 
     def test_sigmoid_saturation_no_overflow_warning(self):
         x = np.array([[[[-500.0, 500.0]]]], dtype=np.float32)
