@@ -10,16 +10,18 @@ Layout:
   blob         little-endian float32 payload
 
 Offsets index the blob (not the file).  Entries may not overlap, must
-stay inside the blob and must hold only finite values; every lookup of
-an absent name fails loudly.
+stay inside the blob and must hold only finite values (WeightArchive
+checks that); every lookup of an absent name fails loudly.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,20 +57,28 @@ class MissingParameterError(ArchiveError):
     """A required parameter name is absent from the archive."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WeightArchive:
-    """Named float32 tensors; the unit every model binds its weights from."""
+    """Named float32 tensors; the unit every model binds its weights from.
 
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    Building one is the only finiteness check of weights, from a file or
+    from memory: an entry holding a NaN or an infinity raises
+    NonFiniteError naming it. Afterwards the archive cannot change:
+    `entries` is a read-only mapping of read-only float32 copies that the
+    archive owns.
+    """
+
+    entries: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        fixed = {}
+        owned = {}
         for name, arr in self.entries.items():
-            a = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
-            if a.ndim == 0:
-                a = a.reshape(1)
-            fixed[str(name)] = a
-        self.entries = fixed
+            a = np.array(arr, dtype=np.float32, order="C", ndmin=1)
+            if not np.isfinite(a).all():
+                raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
+            a.flags.writeable = False
+            owned[str(name)] = a
+        object.__setattr__(self, "entries", MappingProxyType(owned))
 
     def get(self, name: str) -> np.ndarray:
         try:
@@ -111,7 +121,7 @@ def load_archive(path: str | Path) -> WeightArchive:
     if 12 + manifest_len > len(data):
         raise ManifestError("manifest length exceeds the file size")
     manifest = data[12 : 12 + manifest_len].decode("utf-8")
-    blob = data[12 + manifest_len :]
+    blob = memoryview(data)[12 + manifest_len :]
 
     spans = []
     entries: dict[str, np.ndarray] = {}
@@ -143,10 +153,7 @@ def load_archive(path: str | Path) -> WeightArchive:
                 f"entry {name!r}: blob out of bounds (needs bytes up to {end}, blob has {len(blob)})"
             )
         spans.append((offset, end, name))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
-        entries[name] = arr.reshape(shape).astype(np.float32)
+        entries[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:

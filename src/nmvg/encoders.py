@@ -30,30 +30,6 @@ from .tensor import (
 STRIDE_TOTAL = 32
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    stage_channels: tuple[int, int, int, int] = (16, 32, 64, 96)
-    text_vocab: int = 26
-    text_len: int = 50
-    embed_dim: int = 64
-
-    def __post_init__(self):
-        ch = tuple(int(c) for c in self.stage_channels)
-        if len(ch) != 4:
-            raise ValueError(f"exactly four stage channel counts required, got {len(ch)}")
-        if any(c < 1 for c in ch):
-            raise ValueError(f"stage channels must be positive, got {ch}")
-        if any(ch[i + 1] < ch[i] for i in range(3)):
-            raise ValueError(f"stage channels must be non-decreasing, got {ch}")
-        object.__setattr__(self, "stage_channels", ch)
-        if self.text_vocab < 1:
-            raise ValueError("text_vocab must be positive")
-        if self.text_len < 1:
-            raise ValueError("text_len must be positive")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class TokenSequence:
     """Fixed-length token ids plus a mask flagging the padded tail."""
@@ -200,10 +176,6 @@ class TextEncoderParams:
     @property
     def vocab(self) -> int:
         return self.embedding.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.embedding.shape[1]
 
 
 def text_encoder(tokens: TokenSequence, p: TextEncoderParams) -> np.ndarray:

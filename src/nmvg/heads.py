@@ -90,7 +90,6 @@ class RecHeadParams:
     conf: BranchParams
     wh: BranchParams
     offset: BranchParams
-    downsample_ratio: int = 4
 
 
 def _branch(x: FeatureMap, bp: BranchParams) -> FeatureMap:
@@ -229,11 +228,6 @@ class MsRepParams:
     @property
     def mode(self) -> str:
         return "fused" if self.fused is not None else "train"
-
-    @property
-    def channels(self) -> int:
-        src = self.fused if self.fused is not None else self.conv3
-        return src.out_channels
 
 
 def msrep_forward(x: FeatureMap, p: MsRepParams) -> FeatureMap:

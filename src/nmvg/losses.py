@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import read_settings
+
 log = logging.getLogger(__name__)
 
 _CLAMP_LO = 1e-6
@@ -37,26 +39,17 @@ class LossConfig:
     lambda2: float = 1.0
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("alpha_conf", "beta_conf", "alpha_res", "gamma_res"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "LossConfig":
-        """Parse `key = value` lines; later CLI overrides win."""
-        values: dict[str, float] = {}
-        known = set(cls.__dataclass_fields__)
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown loss setting {key!r}")
-            values[key] = float(val.strip())
+        """Parse a settings file of `key = value` lines; overrides win."""
+        values = read_settings(path, dict.fromkeys(cls.__dataclass_fields__, float))
         values.update({k: float(v) for k, v in overrides.items()})
         return cls(**values)
 

@@ -11,15 +11,15 @@ in isolation.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .archive import ArchiveError, NonFiniteError, WeightArchive
+from .archive import ArchiveError, WeightArchive
 from .encoders import (
-    EncoderConfig,
     ImageEncoderParams,
     RadarEncoderParams,
     RadarStage,
@@ -64,6 +64,48 @@ DEFAULT_VOCAB = (
 )
 
 
+def read_settings(path: str | Path, parsers: dict) -> dict:
+    """The `key = value` lines of a settings file, each value run through
+    the parser of its key.
+
+    `#` starts a comment and blank lines are skipped. A line without `=`,
+    a key missing from `parsers` or a value its parser rejects raises
+    ValueError naming `path:line`.
+    """
+    values = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+        if key not in parsers:
+            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        try:
+            values[key] = parsers[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    return values
+
+
+def _parse_bool(val: str) -> bool:
+    low = val.lower()
+    if low not in ("true", "false", "1", "0"):
+        raise ValueError(f"expected a boolean, got {val!r}")
+    return low in ("true", "1")
+
+
+#: Settings whose file value is not a plain integer.
+_PARSERS = {
+    "stage_channels": lambda val: tuple(int(v) for v in val.split(",")),
+    "attention_normalize": _parse_bool,
+    "score_thresh": float,
+    "mask_thresh": float,
+    "vocab_path": str,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input_size: int = 640
@@ -79,68 +121,40 @@ class RunConfig:
     mask_thresh: float = 0.0
     seed: int = 0
     vocab_path: str | None = None
-    loss_config_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
+        """The one check of every field, whether set in code, a file or a flag."""
+        ch = tuple(int(c) for c in self.stage_channels)
+        object.__setattr__(self, "stage_channels", ch)
         if self.input_size < 32 or self.input_size % 32:
             raise ValueError(f"input_size must be a positive multiple of 32, got {self.input_size}")
+        if len(ch) != 4:
+            raise ValueError(f"exactly four stage channel counts required, got {len(ch)}")
+        if any(c < 1 for c in ch):
+            raise ValueError(f"stage channels must be positive, got {ch}")
+        if any(ch[i + 1] < ch[i] for i in range(3)):
+            raise ValueError(f"stage channels must be non-decreasing, got {ch}")
+        for name in ("fpn_channels", "embed_dim", "text_vocab", "text_len", "topk"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.head_scale not in (2, 3, 4, 5):
             raise ValueError(f"head_scale must be one of 2..5, got {self.head_scale}")
-        if self.topk < 1:
-            raise ValueError(f"topk must be >= 1, got {self.topk}")
-        EncoderConfig(
-            stage_channels=self.stage_channels,
-            text_vocab=self.text_vocab,
-            text_len=self.text_len,
-            embed_dim=self.embed_dim,
-        )
+        for name in ("score_thresh", "mask_thresh"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def stage_size(self, i: int) -> int:
         return self.input_size // (4 * (1 << i))
 
-    @property
-    def encoder(self) -> EncoderConfig:
-        return EncoderConfig(
-            stage_channels=self.stage_channels,
-            text_vocab=self.text_vocab,
-            text_len=self.text_len,
-            embed_dim=self.embed_dim,
-        )
-
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        values: dict = {}
-        fields = cls.__dataclass_fields__
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in fields:
-                raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            values[key] = _parse_config_value(key, val)
+        """Read a settings file; overrides that are not None win."""
+        parsers = {name: _PARSERS.get(name, int) for name in cls.__dataclass_fields__}
+        values = read_settings(path, parsers)
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
-
-
-def _parse_config_value(key: str, val: str):
-    if key == "stage_channels":
-        return tuple(int(v) for v in val.split(","))
-    if key in ("vocab_path", "loss_config_path"):
-        return val
-    if key == "attention_normalize":
-        low = val.lower()
-        if low not in ("true", "false", "1", "0"):
-            raise ValueError(f"{key} must be a boolean, got {val!r}")
-        return low in ("true", "1")
-    if key in ("score_thresh", "mask_thresh"):
-        return float(val)
-    return int(val)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +181,6 @@ class _Binder:
         a = self.archive.get(name)
         if a.shape != shape:
             raise ArchiveError(f"entry {name!r} has shape {a.shape}, the model expects {shape}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
         return a
 
     def conv(self, prefix, shape, *, stride=1, padding=0, groups=1, bias=False) -> ConvParams:
@@ -319,7 +331,6 @@ def _bind(cfg: RunConfig, b: _Binder, fused: bool) -> dict:
             conf=branch("rec.conf", 1),
             wh=branch("rec.wh", 2),
             offset=branch("rec.offset", 2),
-            downsample_ratio=cfg.input_size // cfg.stage_size(cfg.head_scale - 2),
         ),
         res_p=ResHeadParams(
             entry=b.conv("res.entry", (f, 1, 1, 1), groups=f),

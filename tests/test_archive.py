@@ -60,6 +60,35 @@ class TestWeightArchive:
         assert "x" in a and "y" not in a
         assert len(a) == 1
 
+    def test_owns_a_copy_of_each_entry(self):
+        src = np.zeros(2, dtype=np.float32)
+        a = WeightArchive(entries={"x": src})
+        src[0] = 5.0
+        assert a.get("x")[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_when_built(self, bad):
+        with pytest.raises(NonFiniteError, match="'w'"):
+            WeightArchive(entries={"ok": np.zeros(2), "w": np.array([0.0, bad])})
+
+    def test_assigning_an_entry_raises(self):
+        a = WeightArchive(entries={"x": np.zeros(2)})
+        with pytest.raises(TypeError):
+            a.entries["y"] = np.zeros(1)
+        assert "y" not in a
+
+    def test_deleting_an_entry_raises(self):
+        a = WeightArchive(entries={"x": np.zeros(2)})
+        with pytest.raises(TypeError):
+            del a.entries["x"]
+        assert "x" in a
+
+    def test_writing_into_an_entry_raises(self):
+        a = WeightArchive(entries={"x": np.zeros(2)})
+        with pytest.raises(ValueError, match="read-only"):
+            a.get("x")[0] = np.nan
+        assert np.isfinite(a.get("x")).all()
+
     def test_whitespace_name_rejected_on_save(self, tmp_path):
         a = WeightArchive(entries={"bad name": np.zeros(1)})
         with pytest.raises(ManifestError, match="whitespace"):

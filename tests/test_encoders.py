@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nmvg.encoders import (
-    EncoderConfig,
     TextEncoderParams,
     TokenSequence,
     image_encoder,
@@ -25,14 +24,30 @@ def small_model():
 
 
 class TestConfig:
+    """The encoder widths and token budget, checked by RunConfig."""
+
     def test_channels_must_not_decrease(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(stage_channels=(16, 8, 32, 64))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            RunConfig(stage_channels=(16, 8, 32, 64))
 
     def test_defaults(self):
-        cfg = EncoderConfig()
+        cfg = RunConfig()
         assert cfg.stage_channels == (16, 32, 64, 96)
         assert cfg.text_len == 50
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("stage_channels", (16, 32, 64), "exactly four"),
+            ("stage_channels", (0, 32, 64, 96), "must be positive"),
+            ("text_vocab", 0, "text_vocab"),
+            ("text_len", 0, "text_len"),
+            ("embed_dim", 0, "embed_dim"),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{field: value})
 
 
 class TestTokenize:

@@ -3,16 +3,19 @@ valid prefix (archive magic, netpbm header, CSV header, config key), are
 either parsed or rejected with the documented error type (``ArchiveError``,
 ``RasterError`` or another ``ValueError``, which the CLI maps to exit 2),
 never with ``IndexError``, ``struct.error``, ``TypeError`` or
-``MemoryError``."""
+``MemoryError``.  Every float setting accepts exactly the finite values in
+its range."""
 
+import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmvg.archive import MAGIC, VERSION, ArchiveError, load_archive
 from nmvg.encoders import load_vocab
+from nmvg.losses import LossConfig
 from nmvg.metrics import EnergyTrace
 from nmvg.model import RunConfig
 from nmvg.rasters import RasterError, read_boxes, read_image, read_mask, read_radar
@@ -44,6 +47,7 @@ _NETPBM = _fuzz_bytes(
 _BOXES = _fuzz_bytes(b"", b"1 2 3 4 0.5\n", b"1 2 3 4\n")
 _TRACE = _fuzz_bytes(b"", b"sample_id,energy_trained,energy_untrained\n", b"sample_id,energy_trained,energy_untrained\ns0,5,")
 _CONFIG = _fuzz_bytes(b"", *(f"{k} = ".encode() for k in RunConfig.__dataclass_fields__))
+_LOSS_CONFIG = _fuzz_bytes(b"", *(f"{k} = ".encode() for k in LossConfig.__dataclass_fields__))
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +103,36 @@ def test_energy_trace_from_csv(fuzz_file, data):
 @given(data=_CONFIG)
 def test_run_config_from_file(fuzz_file, data):
     _parse(fuzz_file, data, RunConfig.from_file)
+
+
+@FUZZ
+@given(data=_LOSS_CONFIG)
+def test_loss_config_from_file(fuzz_file, data):
+    _parse(fuzz_file, data, LossConfig.from_file)
+
+
+_NON_NEGATIVE = ("alpha_conf", "beta_conf", "alpha_res", "gamma_res")
+#: Every float setting, with the least value it accepts.
+_FLOAT_SETTINGS = [
+    (RunConfig, "score_thresh", -math.inf),
+    (RunConfig, "mask_thresh", -math.inf),
+    *((LossConfig, name, 0.0 if name in _NON_NEGATIVE else -math.inf) for name in LossConfig.__dataclass_fields__),
+]
+
+
+@pytest.mark.parametrize("cls,name,least", _FLOAT_SETTINGS)
+@FUZZ
+@given(value=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=5e-324)
+def test_float_setting_accepts_exactly_finite_values(cls, name, least, value):
+    if math.isfinite(value) and value >= least:
+        assert getattr(cls(**{name: value}), name) == value
+    else:
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
 
 
 @FUZZ

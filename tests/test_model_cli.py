@@ -1,5 +1,8 @@
 import filecmp
 import hashlib
+import struct
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from nmvg.archive import (
 )
 from nmvg.cli import main
 from nmvg.encoders import tokenize
+from nmvg.losses import LossConfig
 from nmvg.model import (
     DEFAULT_VOCAB,
     Model,
@@ -82,6 +86,21 @@ class TestRunConfig:
         f.write_text("topk = 3\n")
         assert RunConfig.from_file(f, topk=7).topk == 7
         assert RunConfig.from_file(f, topk=None).topk == 3
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_fpn_channels_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="fpn_channels"):
+            RunConfig(fpn_channels=value)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["score_thresh", "mask_thresh"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RunConfig(**{name: value})
 
 
 class TestParameterShapes:
@@ -159,14 +178,15 @@ class TestArchiveLayout:
 
 class TestModelBinding:
     def test_missing_parameter_names_the_key(self, small_archive):
-        broken = WeightArchive(entries=dict(small_archive.entries))
-        del broken.entries["rec.conf.proj.kernel"]
+        entries = dict(small_archive.entries)
+        del entries["rec.conf.proj.kernel"]
+        broken = WeightArchive(entries=entries)
         with pytest.raises(MissingParameterError, match="rec.conf.proj.kernel"):
             Model.from_archive(SMALL, broken)
 
     def test_wrong_shape_rejected(self, small_archive):
-        broken = WeightArchive(entries=dict(small_archive.entries))
-        broken.entries["fpn.lateral2.kernel"] = np.zeros((1, 1, 1, 1), dtype=np.float32)
+        wrong = np.zeros((1, 1, 1, 1), dtype=np.float32)
+        broken = WeightArchive(entries={**small_archive.entries, "fpn.lateral2.kernel": wrong})
         with pytest.raises(ArchiveError, match="fpn.lateral2.kernel"):
             Model.from_archive(SMALL, broken)
 
@@ -180,12 +200,11 @@ class TestModelBinding:
             Model.from_archive(SMALL, small_archive, mode="fused")
 
     def test_non_finite_weight_rejected_at_bind(self, small_archive):
-        broken = WeightArchive(entries=dict(small_archive.entries))
-        kernel = broken.entries["fpn.smooth2.kernel"].copy()
+        """The archive rejects the entry when it is built, so no bind sees it."""
+        kernel = small_archive.get("fpn.smooth2.kernel").copy()
         kernel[0, 0, 1, 1] = np.nan
-        broken.entries["fpn.smooth2.kernel"] = kernel
         with pytest.raises(NonFiniteError, match="fpn.smooth2.kernel"):
-            Model.from_archive(SMALL, broken)
+            WeightArchive(entries={**small_archive.entries, "fpn.smooth2.kernel": kernel})
 
 
 class TestForward:
@@ -353,6 +372,18 @@ class TestNetpbmHeader:
             read_mask(path)
 
 
+def _infer_argv(fixture_dir, out_dir, *extra):
+    return [
+        "infer",
+        "--weights", str(fixture_dir / "weights.nmvg"),
+        "--image", str(fixture_dir / "image.ppm"),
+        "--radar", str(fixture_dir / "radar.f32"),
+        "--prompt", str(fixture_dir / "prompt.txt"),
+        "--out-dir", str(out_dir),
+        *extra,
+    ]
+
+
 class TestCli:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -389,10 +420,16 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_infer_non_finite_weights_exits_two(self, fixture_dir, tmp_path, capsys, bad):
-        archive = load_archive(fixture_dir / "weights.nmvg")
-        archive.entries["fpn.smooth2.kernel"][0, 0, 1, 1] = bad
+        raw = bytearray((fixture_dir / "weights.nmvg").read_bytes())
+        (manifest_len,) = struct.unpack_from("<I", raw, 8)
+        manifest = raw[12 : 12 + manifest_len].decode()
+        _, _, dims, offset = next(
+            line.split() for line in manifest.splitlines() if line.startswith("fpn.smooth2.kernel ")
+        )
+        flat = np.ravel_multi_index((0, 0, 1, 1), tuple(int(d) for d in dims.split(",")))
+        struct.pack_into("<f", raw, 12 + manifest_len + int(offset) + 4 * int(flat), bad)
         weights = tmp_path / "bad.nmvg"
-        save_archive(archive, weights)
+        weights.write_bytes(bytes(raw))
         rc = main([
             "infer",
             "--config", str(fixture_dir / "run.cfg"),
@@ -494,3 +531,51 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.startswith("3 boxes")
         assert len(read_boxes(tmp_path / "out" / "boxes.txt")) == 3
+
+    @pytest.mark.parametrize("flag,value", [("--score-thresh", "nan"), ("--mask-thresh", "inf")])
+    def test_non_finite_threshold_flag_exits_two(self, fixture_dir, tmp_path, capsys, flag, value):
+        config = str(fixture_dir / "run.cfg")
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", config, flag, value)) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("score_thresh = nan", "score_thresh must be finite"),
+            ("topk = abc", "run.cfg:{lineno}: topk: invalid literal"),
+            ("loss_config_path = x", "run.cfg:{lineno}: unknown setting 'loss_config_path'"),
+        ],
+    )
+    def test_bad_config_setting_exits_two(self, fixture_dir, tmp_path, capsys, line, message):
+        text = (fixture_dir / "run.cfg").read_text() + line + "\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", str(cfg))) == 2
+        assert message.format(lineno=text.count("\n")) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name,value", [("alpha_conf", "nan"), ("tau1", "inf")])
+    def test_selftest_non_finite_loss_setting_exits_two(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "loss.cfg"
+        cfg.write_text(f"beta_conf = 4\n{name} = {value}\n")
+        assert main(["selftest", "--loss-config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be finite, got {value}" in captured.err
+        assert "checks passed" not in captured.out
+
+
+class TestConfigDocs:
+    """Every setting a config file accepts is documented in the README."""
+
+    @staticmethod
+    def _section() -> str:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+
+    @pytest.mark.parametrize(
+        "name", [*RunConfig.__dataclass_fields__, *LossConfig.__dataclass_fields__]
+    )
+    def test_setting_listed_in_readme(self, name):
+        assert f"{name} = " in self._section()
