@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -79,6 +79,17 @@ class WeightArchive:
             a.flags.writeable = False
             owned[str(name)] = a
         object.__setattr__(self, "entries", MappingProxyType(owned))
+
+    def _replace_entries(self, drop: Iterable[str], add: Mapping[str, np.ndarray]) -> WeightArchive:
+        """A new archive without the entries named in ``drop`` and with the
+        entries of ``add``, which are copied and checked as the constructor
+        does. The entries kept from this archive are shared, not copied."""
+        added = WeightArchive(entries=add).entries
+        drop = set(drop)
+        kept = {name: arr for name, arr in self.entries.items() if name not in drop}
+        archive = WeightArchive()
+        object.__setattr__(archive, "entries", MappingProxyType({**kept, **added}))
+        return archive
 
     def get(self, name: str) -> np.ndarray:
         try:

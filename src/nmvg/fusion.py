@@ -95,10 +95,11 @@ class DeformParams:
 def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     """Deformable 2-D conv with bilinear sampling; out-of-bounds reads zero.
 
-    The bilinear samples are gathered for the whole batch, one block of
-    output rows at a time, into float64 im2col columns
-    (N, C_in, k_h*k_w, rows, W_out) that go through the same tiled
-    grouped float64 contraction as ``conv2d``'s dense path.  With an
+    The bilinear samples are gathered one block of output rows at a time,
+    each corner of each sample with one flat index over its H*W pixels,
+    into float64 im2col columns (N, C_in, k_h*k_w, rows, W_out) that go
+    through the same tiled grouped float64 contraction as ``conv2d``'s
+    dense path.  With an
     all-zero offset predictor this reduces to conv2d(x, p.main).
     """
     x = np.asarray(x, dtype=np.float32)
@@ -119,36 +120,46 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
         )
     ky, kx = np.unravel_index(np.arange(taps), (kh, kw))
     base_x = (np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]
-    # Start of each (sample, channel) plane: one gather serves the batch.
-    flat = x.reshape(-1)
-    planes = (np.arange(n * c_in) * (h * w)).reshape(n, c_in, 1)
+    pixels = x.reshape(n, c_in, h * w)
 
-    def fill(cols, r0, r1):
-        off = offsets[:, :, r0:r1].astype(np.float64).reshape(n, taps, 2, r1 - r0, wo)
-        base_y = (np.arange(r0, r1) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
-        # Beyond this window all four bilinear corners are out of bounds, so
-        # clamping changes no result and keeps the int cast finite.
-        py = np.clip(base_y + off[:, :, 0], -2, h + 1)
-        px = np.clip(base_x + off[:, :, 1], -2, w + 1)
-        y0 = np.floor(py).astype(np.int64)
-        x0 = np.floor(px).astype(np.int64)
-        wy = py - y0
-        wx = px - x0
-        cols = cols.reshape(n, c_in, taps, -1)
-        cols.fill(0.0)
-        for yy, xx, wgt in (
-            (y0, x0, (1 - wy) * (1 - wx)),
-            (y0, x0 + 1, (1 - wy) * wx),
-            (y0 + 1, x0, wy * (1 - wx)),
-            (y0 + 1, x0 + 1, wy * wx),
-        ):
-            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            idx = np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)
-            vals = flat[planes + idx.reshape(n, 1, -1)]
-            cols += vals.reshape(cols.shape) * (wgt * valid).reshape(n, 1, taps, -1)
+    def make_fill(rows):
+        # One sample's gathered corner values and their weighted float64 copy.
+        gathered = np.empty(c_in * taps * rows * wo, dtype=np.float32)
+        weighted = np.empty(c_in * taps * rows * wo)
+
+        def fill(cols, r0, r1):
+            off = offsets[:, :, r0:r1].astype(np.float64).reshape(n, taps, 2, r1 - r0, wo)
+            base_y = (np.arange(r0, r1) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
+            # Beyond this window all four bilinear corners are out of bounds, so
+            # clamping changes no result and keeps the int cast finite.
+            py = np.clip(base_y + off[:, :, 0], -2, h + 1)
+            px = np.clip(base_x + off[:, :, 1], -2, w + 1)
+            y0 = np.floor(py).astype(np.int64)
+            x0 = np.floor(px).astype(np.int64)
+            wy = py - y0
+            wx = px - x0
+            cols = cols.reshape(n, c_in, -1)
+            cols.fill(0.0)
+            vals = gathered[: cols[0].size].reshape(c_in, -1)
+            prod = weighted[: cols[0].size].reshape(c_in, -1)
+            for yy, xx, wgt in (
+                (y0, x0, (1 - wy) * (1 - wx)),
+                (y0, x0 + 1, (1 - wy) * wx),
+                (y0 + 1, x0, wy * (1 - wx)),
+                (y0 + 1, x0 + 1, wy * wx),
+            ):
+                valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+                idx = (np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)).reshape(n, -1)
+                wgt = (wgt * valid).reshape(n, 1, -1)
+                for b in range(n):
+                    np.take(pixels[b], idx[b], axis=1, out=vals, mode="clip")
+                    np.multiply(vals, wgt[b], out=prod)
+                    cols[b] += prod
+
+        return fill
 
     out = np.empty((n, co, ho, wo), dtype=np.float32)
-    _contract_rows(out, main, fill)
+    _contract_rows(out, main, make_fill)
     return out
 
 

@@ -49,7 +49,7 @@ class LossConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "LossConfig":
         """Parse a settings file of `key = value` lines; overrides win."""
-        values = read_settings(path, dict.fromkeys(cls.__dataclass_fields__, float))
+        values = read_settings(path, dict.fromkeys(cls.__dataclass_fields__, float), cls)
         values.update({k: float(v) for k, v in overrides.items()})
         return cls(**values)
 

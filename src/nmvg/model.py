@@ -12,9 +12,11 @@ in isolation.
 from __future__ import annotations
 
 import math
+import re
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -64,17 +66,22 @@ DEFAULT_VOCAB = (
 )
 
 
-def read_settings(path: str | Path, parsers: dict) -> dict:
-    """The `key = value` lines of a settings file, each value run through
-    the parser of its key.
+# A settings comment: `#` at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
-    `#` starts a comment and blank lines are skipped. A line without `=`,
-    a key missing from `parsers` or a value its parser rejects raises
-    ValueError naming `path:line`.
+
+def read_settings(path: str | Path, parsers: dict, check: Callable[..., object]) -> dict:
+    """The `key = value` lines of a settings file, each value run through
+    the parser of its key and then checked alone as ``check(key=value)``.
+
+    `#` starts a comment at the start of a line or after whitespace, so a
+    value may hold one (`/tmp/a#b`); blank lines are skipped. A line
+    without `=`, a key missing from `parsers`, or a value its parser or
+    ``check`` rejects raises ValueError naming `path:line`.
     """
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, eq, val = (part.strip() for part in line.partition("="))
@@ -84,6 +91,7 @@ def read_settings(path: str | Path, parsers: dict) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
             values[key] = parsers[key](val)
+            check(**{key: values[key]})
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -152,7 +160,7 @@ class RunConfig:
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         """Read a settings file; overrides that are not None win."""
         parsers = {name: _PARSERS.get(name, int) for name in cls.__dataclass_fields__}
-        values = read_settings(path, parsers)
+        values = read_settings(path, parsers, cls)
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -491,8 +499,7 @@ def fuse_archive(archive: WeightArchive) -> WeightArchive:
         names = _Binder()
         _msrep(names, p, conv.out_channels, fused=True)
         folded.update(zip(names.shapes, (conv.kernel, conv.bias)))
-    entries = {k: v for k, v in archive.entries.items() if k not in b.shapes}
-    return WeightArchive(entries={**entries, **folded})
+    return archive._replace_entries(b.shapes, folded)
 
 
 # ---------------------------------------------------------------------------

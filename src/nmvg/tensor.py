@@ -16,11 +16,26 @@ tiles (blocks of output rows, and of channels when depthwise) whose work
 fits buffers of about ``_TILE`` elements reused from tile to tile, so no
 float64 temporary ever spans the whole map and the input is never padded
 as a whole; each tile is rounded straight into its slice of the output.
+
+Threading: ``_map_tiles`` splits a conv's tiles into one contiguous chunk
+per core the process may run on; the calling thread runs the first chunk
+and a module-level pool of cores - 1 threads the others, while numpy
+releases the GIL inside each copy, ufunc and matmul.  The calling thread
+allocates every chunk's buffers.  Tiles, tap order and GEMM shapes do not
+depend on the split, so outputs are bitwise the same on any core count.
+The pool is made at import and made again in a forked child.  With more
+than one core, importing this module also puts numpy's bundled OpenBLAS
+on one thread for the whole process, since the cores already run one tile
+each.  The threading and the OpenBLAS pin were timed on two cores only.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Literal
 
 import numpy as np
@@ -34,6 +49,49 @@ ActivationKind = Literal["relu", "silu", "sigmoid"]
 # float64 elements (batch axis included) in the work buffer a conv reuses
 # from tile to tile: 2 MB, which stays in a core's L2 cache.
 _TILE = 1 << 18
+
+# A conv splits its tiles into one chunk per core: the calling thread runs
+# the first and _POOL's _CORES - 1 threads the others.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL: ThreadPoolExecutor | None = None
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _start_pool() -> None:
+    """Start the tile pool; runs again in a forked child, whose copy of the
+    parent's pool has no threads.  The threads start on the first conv
+    that spans two tiles."""
+    global _POOL
+    if _CORES > 1:
+        _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="nmvg-tiles")
+
+
+def _pin_blas() -> None:
+    """Put numpy's bundled OpenBLAS on one thread.
+
+    The tile GEMMs are small (about ``_TILE`` elements), and an OpenBLAS
+    that splits each one over the cores the pool already keeps busy only
+    adds spin-waiting threads.  A forked child inherits the setting.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        setter = next((getattr(handle, fn) for fn in _BLAS_THREAD_SETTERS if hasattr(handle, fn)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+_start_pool()
+if _CORES > 1:
+    _pin_blas()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 class ShapeError(ValueError):
@@ -157,8 +215,9 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     output rows: each kernel tap is one flat slice of a float64 phase
     plane, scaled per channel and added in tap order.  Dense and grouped
     kernels copy their float64 im2col columns out of float32 planes for
-    blocks of output rows and contract them in ``_contract_rows``.  Both paths accumulate in
-    float64 and round each block to float32 in the output.
+    blocks of output rows and contract them in ``_contract_rows``.  Both
+    paths accumulate in float64, round each block to float32 in the
+    output, and spread their blocks over the cores with ``_map_tiles``.
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -181,20 +240,25 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
         # The planes stay float32: the im2col copy does the cast, and
         # float64 planes would double the bytes each tap reads.
         span = max(1, _TILE // (n * c * s * s * wq))
-        planes, p0, p1, buf = None, 0, 0, np.empty(0, dtype=np.float32)
 
-        def fill(cols, r0, r1):
-            nonlocal buf, planes, p0, p1
-            if r1 > p1:
-                p0, p1 = r0, min(ho, r0 + max(span, r1 - r0))
-                planes, buf = _planes(x, p, p0, p1, buf)
-            for t in range(kh * kw):
-                i, j = divmod(t, kw)
-                plane = planes[:, :, (i % s) * s + j % s]
-                top = r0 - p0 + i // s
-                cols[:, :, t] = plane[:, :, top : top + r1 - r0, j // s : j // s + wo]
+        def make_fill(rows):
+            buf = _plane_buffer(x, p, min(ho, max(span, rows)), np.float32)
+            planes, p0, p1 = None, 0, 0
 
-        _contract_rows(out, p, fill)
+            def fill(cols, r0, r1):
+                nonlocal planes, p0, p1
+                if r1 > p1:
+                    p0, p1 = r0, min(ho, r0 + max(span, r1 - r0))
+                    planes = _planes(x, p, p0, p1, buf)
+                for t in range(kh * kw):
+                    i, j = divmod(t, kw)
+                    plane = planes[:, :, (i % s) * s + j % s]
+                    top = r0 - p0 + i // s
+                    cols[:, :, t] = plane[:, :, top : top + r1 - r0, j // s : j // s + wo]
+
+            return fill
+
+        _contract_rows(out, p, make_fill)
         return out
     m = co // c
     k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1)
@@ -206,14 +270,16 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     per_row = n * wq * (2 * m + s * s)
     rows = min(ho, max(1, _TILE // per_row))
     block = min(c, max(1, _TILE // (per_row * rows)))
-    acc_buf, prod_buf = np.empty((2, n * block * m * rows * wq))
-    buf = np.empty(0)
-    for c0 in range(0, c, block):
-        c1 = min(c0 + block, c)
-        for r0 in range(0, ho, rows):
-            r1 = min(r0 + rows, ho)
+
+    def make_tile():
+        acc_buf, prod_buf = np.empty((2, n * block * m * rows * wq))
+        buf = _plane_buffer(x[:, :block], p, rows, np.float64)
+
+        def tile(at):
+            c0, r0 = at
+            c1, r1 = min(c0 + block, c), min(r0 + rows, ho)
             size = (r1 - r0) * wq
-            planes, buf = _planes(x[:, c0:c1], p, r0, r1, buf)
+            planes = _planes(x[:, c0:c1], p, r0, r1, buf)
             flat = planes.reshape(n, c1 - c0, planes.shape[2], -1)
             acc = acc_buf[: n * (c1 - c0) * m * size].reshape(n, c1 - c0, m, size)
             prod = prod_buf[: acc.size].reshape(acc.shape)
@@ -228,22 +294,34 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
                 acc += bias[c0:c1]
             block_out = acc.reshape(n, (c1 - c0) * m, r1 - r0, wq)
             out[:, c0 * m : c1 * m, r0:r1] = block_out[..., :wo]
+
+        return tile
+
+    _map_tiles([(c0, r0) for c0 in range(0, c, block) for r0 in range(0, ho, rows)], make_tile)
     return out
 
 
-def _planes(
-    x: np.ndarray, p: ConvParams, r0: int, r1: int, buf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-padded input of conv ``p`` over output rows r0:r1, split
-    into stride-phase planes of ``buf``'s dtype.
+def _plane_buffer(x: np.ndarray, p: ConvParams, rows: int, dtype) -> np.ndarray:
+    """An empty buffer that holds ``_planes(x, p, r0, r1, buf)`` for any
+    r1 - r0 <= rows; empty when those planes are a view of ``x``."""
+    n, c, _, w = x.shape
+    _, _, kh, kw = p.kernel.shape
+    s, pad = p.stride, p.padding
+    if kh == kw == s == 1 and pad == 0:
+        return np.empty(0, dtype=dtype)
+    wq = (w + 2 * pad - kw) // s + 1 + (kw - 1) // s
+    return np.empty(n * c * s * s * (rows + (kh - 1) // s + ((kw - 1) // s > 0)) * wq, dtype)
 
-    Returns ``(planes, buf)``.  planes is (N, C, stride**2, rows, wq):
-    plane a * stride + b holds padded rows (r0 + t) * stride + a and
-    columns u * stride + b, with wq = W_out + (k_w - 1) // stride.  rows
-    covers every row a tap of those output rows reads, plus one row when
-    the last flat tap slice of ``conv2d``'s depthwise path runs past them.
-    planes is a view of ``buf`` when that is large enough, else of a new
-    buffer, which is returned for the next tile; only the border strips
+
+def _planes(x: np.ndarray, p: ConvParams, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
+    """The zero-padded input of conv ``p`` over output rows r0:r1, split
+    into stride-phase planes in a view of ``buf`` (see ``_plane_buffer``).
+
+    The planes are (N, C, stride**2, rows, wq): plane a * stride + b holds
+    padded rows (r0 + t) * stride + a and columns u * stride + b, with
+    wq = W_out + (k_w - 1) // stride.  rows covers every row a tap of
+    those output rows reads, plus one row when the last flat tap slice of
+    ``conv2d``'s depthwise path runs past them.  Only the border strips
     around the copied input are zeroed.  An unpadded stride-1 1x1 conv
     gets a view of ``x`` (float32) and no copy.
     """
@@ -251,13 +329,10 @@ def _planes(
     _, _, kh, kw = p.kernel.shape
     s, pad = p.stride, p.padding
     if kh == kw == s == 1 and pad == 0:
-        return x[:, :, None, r0:r1], buf
+        return x[:, :, None, r0:r1]
     wq = (w + 2 * pad - kw) // s + 1 + (kw - 1) // s
     rows = r1 - r0 + (kh - 1) // s + ((kw - 1) // s > 0)
-    size = n * c * s * s * rows * wq
-    if buf.size < size:
-        buf = np.empty(size, dtype=buf.dtype)
-    planes = buf[:size].reshape(n, c, s * s, rows, wq)
+    planes = buf[: n * c * s * s * rows * wq].reshape(n, c, s * s, rows, wq)
     for a in range(s):
         # Plane rows t_lo:t_hi and columns u_lo:u_hi hold input pixels.
         t_lo = min(rows, max(0, -((a - pad) // s) - r0))
@@ -275,37 +350,86 @@ def _planes(
             plane[:, :, t_lo:t_hi, u_lo:u_hi] = x[
                 :, :, y0 : y0 + s * (t_hi - t_lo) : s, x0 : x0 + s * (u_hi - u_lo) : s
             ]
-    return planes, buf
+    return planes
 
 
 def _contract_rows(
-    out: np.ndarray, p: ConvParams, fill: Callable[[np.ndarray, int, int], None]
+    out: np.ndarray,
+    p: ConvParams,
+    make_fill: Callable[[int], Callable[[np.ndarray, int, int], None]],
 ) -> None:
     """Write the float32 result of conv ``p`` into ``out`` (N, C_out, H_out,
     W_out), one block of output rows at a time.
 
-    ``fill(cols, r0, r1)`` writes the float64 im2col columns
-    (N, C_in, k_h*k_w, r1 - r0, W_out) of output rows r0:r1 into a view of
-    one reused buffer of about ``_TILE`` elements.  Each block is contracted
-    with the kernel as (groups, C_out/groups, C_in/groups*k_h*k_w) in one
-    batched float64 matmul, gets the bias added in float64, and is rounded
-    into its rows of ``out``.
+    ``make_fill(rows)`` returns a ``fill(cols, r0, r1)`` for blocks of at
+    most ``rows`` rows; it is called once per chunk of blocks, on the
+    calling thread, so it allocates that chunk's scratch there.  fill
+    writes the float64 im2col columns (N, C_in, k_h*k_w, r1 - r0, W_out) of
+    output rows r0:r1 into a view of a buffer of about ``_TILE`` elements.
+    Each block is contracted with the kernel as
+    (groups, C_out/groups, C_in/groups*k_h*k_w) in one batched float64
+    matmul into a reused result buffer, gets the bias added in float64,
+    and is rounded into its rows of ``out``.
     """
     n, co, ho, wo = out.shape
     _, cg, kh, kw = p.kernel.shape
     depth = p.in_channels * kh * kw
     rows = min(ho, max(1, _TILE // (n * depth * wo)))
-    buf = np.empty(n * depth * rows * wo)
     k64 = p.kernel.astype(np.float64).reshape(p.groups, co // p.groups, cg * kh * kw)
     bias = None if p.bias is None else p.bias.astype(np.float64)[:, None]
-    for r0 in range(0, ho, rows):
-        r1 = min(r0 + rows, ho)
-        cols = buf[: n * depth * (r1 - r0) * wo].reshape(n, p.in_channels, kh * kw, r1 - r0, wo)
-        fill(cols, r0, r1)
-        block = np.matmul(k64, cols.reshape(n, p.groups, cg * kh * kw, -1)).reshape(n, co, -1)
-        if bias is not None:
-            block += bias
-        out[:, :, r0:r1] = block.reshape(n, co, r1 - r0, wo)
+
+    def make_tile():
+        buf = np.empty(n * depth * rows * wo)
+        res_buf = np.empty(n * co * rows * wo)
+        fill = make_fill(rows)
+
+        def tile(r0):
+            r1 = min(r0 + rows, ho)
+            cols = buf[: n * depth * (r1 - r0) * wo].reshape(n, p.in_channels, kh * kw, r1 - r0, wo)
+            fill(cols, r0, r1)
+            res = res_buf[: n * co * (r1 - r0) * wo]
+            np.matmul(
+                k64,
+                cols.reshape(n, p.groups, cg * kh * kw, -1),
+                out=res.reshape(n, p.groups, co // p.groups, -1),
+            )
+            block = res.reshape(n, co, -1)
+            if bias is not None:
+                block += bias
+            out[:, :, r0:r1] = block.reshape(n, co, r1 - r0, wo)
+
+        return tile
+
+    _map_tiles(list(range(0, ho, rows)), make_tile)
+
+
+def _map_tiles(tiles: list, make_tile: Callable[[], Callable]) -> None:
+    """Run ``tile(t)`` for every t in ``tiles``, split into one contiguous
+    chunk per core.
+
+    ``make_tile()`` is called on the calling thread once per chunk and
+    returns that chunk's ``tile``, so every work buffer is allocated here
+    and not in a pool thread (glibc would keep each thread's freed
+    temporaries in that thread's own malloc arena).  The calling thread
+    runs the first chunk and ``_POOL`` the others, so one chunk never
+    touches the pool.  Each tile writes its own slice of the output, so
+    the split changes no bit.  An exception in any chunk is raised once
+    every chunk has finished.
+    """
+    k = min(_CORES, len(tiles))
+    jobs = [(make_tile(), tiles[len(tiles) * i // k : len(tiles) * (i + 1) // k]) for i in range(k)]
+    futures = [_POOL.submit(_run_chunk, *job) for job in jobs[1:]]
+    try:
+        _run_chunk(*jobs[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _run_chunk(tile: Callable, chunk: list) -> None:
+    for t in chunk:
+        tile(t)
 
 
 def batchnorm_inference(x: FeatureMap, p: BNParams) -> FeatureMap:

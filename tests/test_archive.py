@@ -89,6 +89,24 @@ class TestWeightArchive:
             a.get("x")[0] = np.nan
         assert np.isfinite(a.get("x")).all()
 
+    def test_replace_entries_shares_the_kept_entries(self):
+        a = WeightArchive(entries={"x": np.zeros(2), "y": np.ones(3), "z": np.zeros(1)})
+        src = np.full(2, 5.0, dtype=np.float32)
+        b = a._replace_entries(["y"], {"w": src})
+        assert list(b.entries) == ["x", "z", "w"] and "y" in a
+        assert b.get("x") is a.get("x") and b.get("z") is a.get("z")
+        src[0] = 0.0
+        assert b.get("w")[0] == 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            b.get("w")[1] = 0.0
+        with pytest.raises(TypeError):
+            b.entries["v"] = np.zeros(1)
+
+    def test_replace_entries_checks_the_added_entries(self):
+        a = WeightArchive(entries={"x": np.zeros(2)})
+        with pytest.raises(NonFiniteError, match="'w'"):
+            a._replace_entries([], {"w": np.array([0.0, np.nan])})
+
     def test_whitespace_name_rejected_on_save(self, tmp_path):
         a = WeightArchive(entries={"bad name": np.zeros(1)})
         with pytest.raises(ManifestError, match="whitespace"):

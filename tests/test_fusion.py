@@ -193,6 +193,16 @@ class TestDeformConv:
         monkeypatch.setattr(tensor, "_TILE", 2 * n * c * k * k * wo)
         assert np.array_equal(deform_conv(x, p), whole)
 
+    def test_frame640_stage0_equal_across_core_counts(self, cores):
+        rng = np.random.default_rng(15)
+        p = _deform_params(rng, 16, offset_scale=0.3)
+        x = rng.standard_normal((1, 16, 160, 160)).astype(np.float32)
+        outs = []
+        for k in (1, 2, 3):
+            cores(k)
+            outs.append(deform_conv(x, p))
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
     def test_offset_channel_count_enforced(self):
         with pytest.raises(ShapeError):
             DeformParams(

@@ -46,6 +46,16 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="warp_factor"):
             LossConfig.from_file(f)
 
+    @pytest.mark.parametrize(
+        "line,message", [("tau1 = nan", "tau1 must be finite"), ("gamma_res = -1", "gamma_res must be non-negative")]
+    )
+    def test_from_file_out_of_range_value_names_its_line(self, tmp_path, line, message):
+        f = tmp_path / "loss.cfg"
+        f.write_text(f"# weights\nalpha_conf = 3\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"loss.cfg:3: {key}: {message}"):
+            LossConfig.from_file(f)
+
     def test_from_file_rejects_bare_line(self, tmp_path):
         f = tmp_path / "loss.cfg"
         f.write_text("alpha_conf\n")

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import struct
+import tracemalloc
 
 from pathlib import Path
 
@@ -74,6 +75,34 @@ class TestRunConfig:
         assert cfg.stage_channels == (8, 16, 24, 32)
         assert cfg.attention_normalize is True
         assert cfg.score_thresh == 0.4
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text(
+            "# run settings\n"
+            "vocab_path = /tmp/a#b/vocab.txt\n"
+            "score_thresh = 0.4  # comment\n"
+            "topk = 3\t# tab before the comment\n"
+        )
+        cfg = RunConfig.from_file(f)
+        assert cfg.vocab_path == "/tmp/a#b/vocab.txt"
+        assert cfg.score_thresh == 0.4
+        assert cfg.topk == 3
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("score_thresh = nan", "score_thresh must be finite"),
+            ("fpn_channels = 0", "fpn_channels must be >= 1"),
+            ("stage_channels = 8, 4, 16, 32", "stage channels must be non-decreasing"),
+        ],
+    )
+    def test_out_of_range_value_names_its_line(self, tmp_path, line, message):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"input_size = 64\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"run.cfg:2: {key}: {message}"):
+            RunConfig.from_file(f)
 
     def test_from_file_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -288,6 +317,21 @@ class TestFuseArchive:
         np.testing.assert_array_equal(
             fused.get("rec.conf.proj.kernel"), small_archive.get("rec.conf.proj.kernel")
         )
+
+    def test_fold_shares_unchanged_entries(self):
+        """At 320 the fold copies no entry it keeps: its tracemalloc peak is
+        a small fraction of the 2.6 MB archive, where a second copy of
+        every entry would peak above 2.60 MB."""
+        archive = generate_archive(RunConfig(input_size=320), 0)
+        size = sum(a.nbytes for a in archive.entries.values())
+        tracemalloc.start()
+        try:
+            fused = fuse_archive(archive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fused.get("rec.conf.proj.kernel") is archive.get("rec.conf.proj.kernel")
+        assert peak <= 2.60e6 and peak < size / 10
 
     def test_fusing_twice_rejected(self, small_archive):
         fused = fuse_archive(small_archive)
@@ -554,6 +598,15 @@ class TestCli:
         cfg.write_text(text)
         assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", str(cfg))) == 2
         assert message.format(lineno=text.count("\n")) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_config_setting_exits_two_naming_its_line(self, fixture_dir, tmp_path, capsys):
+        text = (fixture_dir / "run.cfg").read_text() + "score_thresh = nan\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", str(cfg))) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{text.count(chr(10))}: score_thresh: score_thresh must be finite" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name,value", [("alpha_conf", "nan"), ("tau1", "inf")])

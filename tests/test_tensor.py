@@ -1,4 +1,11 @@
+import ctypes
+import os
+import select
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +155,7 @@ class TestConvTiles:
         ],
     )
     def test_small_tiles_match_loop_oracle(
-        self, monkeypatch, n, cin, h, w, cout, groups, k, stride, padding
+        self, monkeypatch, cores, n, cin, h, w, cout, groups, k, stride, padding
     ):
         rng = np.random.default_rng(n * 1000 + cin * 100 + groups * 10 + k)
         x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
@@ -166,12 +173,17 @@ class TestConvTiles:
                 tiles.append(xb.shape[1] * (r1 - r0))
             return planes(xb, conv, r0, r1, buf)
 
-        def contract_spy(out, conv, fill):
-            def fill_spy(cols, r0, r1):
-                tiles.append(cin * (r1 - r0))
-                fill(cols, r0, r1)
+        def contract_spy(out, conv, make_fill):
+            def make_fill_spy(rows):
+                fill = make_fill(rows)
 
-            contract(out, conv, fill_spy)
+                def fill_spy(cols, r0, r1):
+                    tiles.append(cin * (r1 - r0))
+                    fill(cols, r0, r1)
+
+                return fill_spy
+
+            contract(out, conv, make_fill_spy)
 
         def no_pad(*args, **kwargs):
             raise AssertionError("conv2d padded its whole input")
@@ -180,11 +192,17 @@ class TestConvTiles:
         monkeypatch.setattr(tensor, "_contract_rows", contract_spy)
         monkeypatch.setattr(tensor, "_TILE", _ragged_tile(n, cin, cout, groups, k, stride, ho, wo))
         monkeypatch.setattr(np, "pad", no_pad)
+        cores(1)
         tiled = conv2d(x, p)
-        monkeypatch.undo()
         assert len(tiles) >= 3 and tiles[-1] < tiles[0]  # the last tile is ragged
+        serial, tiles[:] = list(tiles), []
+        cores(3)
+        pooled = conv2d(x, p)
+        monkeypatch.undo()
+        assert sorted(tiles) == sorted(serial)  # the pool runs the same tiles
         np.testing.assert_allclose(tiled, ref, atol=1e-5)
         assert np.array_equal(tiled, whole)
+        assert np.array_equal(pooled, whole)
 
     def test_taps_of_padding_alone_sum_to_positive_zero(self):
         """With padding 3 a 3x3 kernel's corner outputs read only padding:
@@ -224,6 +242,156 @@ class TestConvTiles:
         finally:
             tracemalloc.stop()
         assert peak < 3 * out.nbytes
+
+
+def _thread_spy(monkeypatch):
+    """Record, for every ``_map_tiles`` call, the threads that built each
+    chunk's buffers and the threads that ran its tiles."""
+    calls = []
+    map_tiles = tensor._map_tiles
+
+    def spy(tiles, make_tile):
+        made, ran = [], set()
+
+        def make_tile_spy():
+            made.append(threading.get_ident())
+            tile = make_tile()
+
+            def tile_spy(t):
+                ran.add(threading.get_ident())
+                tile(t)
+
+            return tile_spy
+
+        calls.append((len(tiles), made, ran))
+        map_tiles(tiles, make_tile_spy)
+
+    monkeypatch.setattr(tensor, "_map_tiles", spy)
+    return calls
+
+
+class TestCorePool:
+    """Each conv's tiles run in one chunk per core, the first on the calling
+    thread; the split changes no output bit."""
+
+    # frame640 shapes: (input, kernel, stride, padding, groups)
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,padding,groups",
+        [
+            ((1, 64, 160, 160), (64, 64, 1, 1), 1, 0, 1),  # dense 1x1
+            ((1, 64, 160, 160), (64, 64, 3, 3), 1, 1, 1),  # dense 3x3
+            ((1, 64, 160, 160), (64, 1, 3, 3), 1, 1, 64),  # depthwise 3x3
+            ((1, 16, 320, 320), (16, 1, 3, 3), 2, 1, 16),  # depthwise 3x3 stride 2
+            ((1, 64, 160, 160), (64, 1, 5, 5), 1, 2, 64),  # depthwise 5x5
+            ((1, 64, 160, 160), (64, 1, 1, 1), 1, 0, 64),  # depthwise 1x1
+        ],
+        ids=["dense1x1", "dense3x3", "dw3x3s1", "dw3x3s2", "dw5x5", "dw1x1"],
+    )
+    def test_frame640_convs_equal_across_core_counts(
+        self, monkeypatch, cores, shape, kernel, stride, padding, groups
+    ):
+        rng = np.random.default_rng(sum(shape) + sum(kernel))
+        x = rng.standard_normal(shape).astype(np.float32)
+        p = ConvParams(
+            rng.standard_normal(kernel).astype(np.float32),
+            rng.standard_normal(kernel[0]).astype(np.float32),
+            stride,
+            padding,
+            groups,
+        )
+        calls = _thread_spy(monkeypatch)
+        outs = []
+        for k in (1, 2, 3):
+            cores(k)
+            outs.append(conv2d(x, p))
+        main = threading.get_ident()
+        (n1, made1, ran1), (n2, made2, ran2), (n3, made3, ran3) = calls
+        assert n1 == n2 == n3 >= 3
+        assert made1 == [main] and made2 == [main] * 2 and made3 == [main] * 3
+        # Which pool thread takes which chunk is up to the pool.
+        assert ran1 == {main} and len(ran2) == 2 and len(ran3) >= 2 and main in ran2 & ran3
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    def test_one_tile_runs_inline(self, monkeypatch, cores):
+        cores(3)
+        calls = _thread_spy(monkeypatch)
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        conv2d(x, ConvParams(np.ones((2, 2, 3, 3), dtype=np.float32), padding=1))
+        assert calls == [(1, [threading.get_ident()], {threading.get_ident()})]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_raised_once_every_chunk_finished(self, cores, failing):
+        """Chunks [0, 1], [2, 3], [4, 5]: the first tile of chunk `failing`
+        raises while the other chunks are still sleeping."""
+        cores(3)
+        done = []
+
+        def make_tile():
+            def tile(t):
+                if t == 2 * failing:
+                    raise KeyError(t)
+                time.sleep(0.05)
+                done.append(t)
+
+            return tile
+
+        with pytest.raises(KeyError):
+            tensor._map_tiles(list(range(6)), make_tile)
+        assert sorted(done) == [t for t in range(6) if t // 2 != failing]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_working_pool(self, monkeypatch, cores):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((1, 4, 12, 9)).astype(np.float32)
+        p = ConvParams(rng.standard_normal((4, 4, 3, 3)).astype(np.float32), padding=1)
+        monkeypatch.setattr(tensor, "_TILE", 4 * 9 * 9 * 2)
+        cores(2)
+        want = conv2d(x, p)  # the pool now has a running thread
+        parent_pool = tensor._POOL
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = tensor._POOL is not parent_pool and np.array_equal(conv2d(x, p), want)
+            finally:
+                os.write(write_end, b"1" if ok else b"0")
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            if not ready:
+                os.kill(pid, 9)
+            assert ready, "the forked child hung on the parent's pool"
+            assert os.read(read_end, 1) == b"1"
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+
+    @pytest.mark.skipif(tensor._CORES < 2, reason="needs two cores")
+    def test_openblas_runs_on_one_thread(self):
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        getters = (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        )
+        for lib in libs.glob("*openblas*"):
+            handle = ctypes.CDLL(str(lib))
+            for fn in getters:
+                if hasattr(handle, fn):
+                    assert getattr(handle, fn)() == 1
+                    return
+        pytest.skip("no OpenBLAS thread-count getter in numpy's bundled libraries")
+
+    def test_blas_library_that_fails_to_load_is_skipped(self, monkeypatch):
+        def fail(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(tensor.ctypes, "CDLL", fail)
+        tensor._pin_blas()
 
 
 class TestBatchnorm:
