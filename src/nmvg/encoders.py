@@ -21,8 +21,6 @@ from .tensor import (
     ConvParams,
     FeatureMap,
     ShapeError,
-    activation,
-    batchnorm_inference,
     conv2d,
 )
 
@@ -92,9 +90,7 @@ class SeparableDown:
 
 
 def _separable_down(x: FeatureMap, block: SeparableDown) -> FeatureMap:
-    x = conv2d(x, block.dw)
-    x = conv2d(x, block.pw)
-    return activation(batchnorm_inference(x, block.bn), "relu")
+    return conv2d(conv2d(x, block.dw), block.pw, block.bn, "relu")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +145,11 @@ class RadarEncoderParams:
 def radar_encoder(radar: FeatureMap, p: RadarEncoderParams) -> list[FeatureMap]:
     """Mirror of image_encoder over the range/velocity/power planes."""
     x = _check_raster_input(radar, "radar input")
-    x = conv2d(x, p.stem_dw)
-    x = activation(batchnorm_inference(x, p.stem_bn), "relu")
+    x = conv2d(x, p.stem_dw, p.stem_bn, "relu")
     outs = []
     for stage in p.stages:
-        h = activation(batchnorm_inference(conv2d(x, stage.block1_dw), stage.block1_bn), "relu")
-        h = activation(batchnorm_inference(conv2d(h, stage.block2_dw), stage.block2_bn), "relu")
+        h = conv2d(x, stage.block1_dw, stage.block1_bn, "relu")
+        h = conv2d(h, stage.block2_dw, stage.block2_bn, "relu")
         x = h + x
         x = _separable_down(x, stage.down)
         outs.append(x)

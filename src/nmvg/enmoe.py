@@ -24,8 +24,6 @@ from .tensor import (
     FeatureMap,
     ShapeError,
     _sigmoid,
-    activation,
-    batchnorm_inference,
     conv2d,
     sobel,
 )
@@ -69,10 +67,9 @@ def enmoe_forward(f: FeatureMap, p: EnMoeParams) -> FeatureMap:
         raise ShapeError(
             f"spatial dims {f.shape[2:]} are below the {MIN_EXTENT}x{MIN_EXTENT} minimum"
         )
-    edge = activation(batchnorm_inference(conv2d(sobel(f), p.edge_conv), p.edge_bn), "silu")
-    local = activation(batchnorm_inference(conv2d(f, p.nbr_conv), p.nbr_bn), "silu")
-    gate_edge = activation(conv2d(edge, p.gate_high), "sigmoid")
-    gate_local = activation(conv2d(local, p.gate_low), "sigmoid")
+    # Each expert map is dropped as soon as its gate is made.
+    gate_edge = conv2d(conv2d(sobel(f), p.edge_conv, p.edge_bn, "silu"), p.gate_high, act="sigmoid")
+    gate_local = conv2d(conv2d(f, p.nbr_conv, p.nbr_bn, "silu"), p.gate_low, act="sigmoid")
     base = conv2d(f, p.w_o)
     t1 = float(_sigmoid(np.array(p.theta1_raw, dtype=np.float64)))
     t2 = float(_sigmoid(np.array(p.theta2_raw, dtype=np.float64)))

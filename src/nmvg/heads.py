@@ -19,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
+    ActivationKind,
     BNParams,
     ConvParams,
     FeatureMap,
@@ -92,10 +93,10 @@ class RecHeadParams:
     offset: BranchParams
 
 
-def _branch(x: FeatureMap, bp: BranchParams) -> FeatureMap:
-    x = activation(batchnorm_inference(conv2d(x, bp.dw), bp.dw_bn), "relu")
-    x = activation(batchnorm_inference(conv2d(x, bp.pw), bp.pw_bn), "relu")
-    return conv2d(x, bp.proj)
+def _branch(x: FeatureMap, bp: BranchParams, act: ActivationKind | None = None) -> FeatureMap:
+    x = conv2d(x, bp.dw, bp.dw_bn, "relu")
+    x = conv2d(x, bp.pw, bp.pw_bn, "relu")
+    return conv2d(x, bp.proj, act=act)
 
 
 def rec_head_forward(
@@ -106,7 +107,7 @@ def rec_head_forward(
     The heatmap passes through a sigmoid and is nudged off exact 0/1 so it
     always lies in the open interval.
     """
-    heat = activation(_branch(feat, p.conf), "sigmoid")
+    heat = _branch(feat, p.conf, "sigmoid")
     heat = np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7))
     if heat.shape[1] != 1:
         raise ShapeError(f"confidence branch must emit one channel, got {heat.shape[1]}")
@@ -233,8 +234,8 @@ class MsRepParams:
 def msrep_forward(x: FeatureMap, p: MsRepParams) -> FeatureMap:
     if p.fused is not None:
         return conv2d(x, p.fused)
-    y3 = batchnorm_inference(conv2d(x, p.conv3), p.bn3)
-    y1 = batchnorm_inference(conv2d(x, p.conv1), p.bn1)
+    y3 = conv2d(x, p.conv3, p.bn3)
+    y1 = conv2d(x, p.conv1, p.bn1)
     y3 += y1
     y3 += batchnorm_inference(x, p.bn_id)
     return y3

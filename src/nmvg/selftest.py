@@ -38,7 +38,16 @@ from .losses import (
     total_loss,
 )
 from .metrics import EnergyTrace, average_precision, box_iou, mept
-from .tensor import BNParams, ConvParams, batchnorm_inference, conv2d, maxpool1d, sobel, upsample
+from .tensor import (
+    BNParams,
+    ConvParams,
+    activation,
+    batchnorm_inference,
+    conv2d,
+    maxpool1d,
+    sobel,
+    upsample,
+)
 
 
 def _conv_ref(x, kernel, bias, stride, padding, groups):
@@ -98,6 +107,25 @@ def check_batchnorm():
     bn = BNParams(gamma=g, beta=b, running_mean=m, running_var=v, epsilon=1e-5)
     want = g[:, None, None] * (x - m[:, None, None]) / np.sqrt(v[:, None, None] + 1e-5) + b[:, None, None]
     _assert_close(batchnorm_inference(x, bn), want, 1e-5, "batchnorm")
+
+
+def check_conv_epilogue():
+    """BN and activation applied per tile inside the conv equal the two
+    whole-map passes bit for bit, on a depthwise 3x3 of four tiles and a
+    dense 1x1 of two.  Fails on a numpy whose float32 ufuncs give other
+    bits on a tile's strided slice than on a whole map."""
+    rng = np.random.default_rng(22)
+    x = (3 * rng.standard_normal((1, 32, 96, 96))).astype(np.float32)
+    g, b, m, v = (rng.standard_normal(32).astype(np.float32) for _ in range(4))
+    bn = BNParams(gamma=g, beta=b, running_mean=m, running_var=np.abs(v))
+    dw, dense = (rng.standard_normal(s).astype(np.float32) for s in ((32, 1, 3, 3), (32, 32, 1, 1)))
+    convs = {"depthwise 3x3": ConvParams(dw, padding=1, groups=32), "dense 1x1": ConvParams(dense)}
+    for name, p in convs.items():
+        plain = batchnorm_inference(conv2d(x, p), bn)
+        for act in ("relu", "silu", "sigmoid"):
+            got, want = conv2d(x, p, bn, act), activation(plain, act)
+            if not np.array_equal(got.view(np.uint32), want.view(np.uint32)):
+                raise AssertionError(f"{name} with BN and {act}: fused differs from unfused")
 
 
 def check_maxpool():
@@ -380,6 +408,7 @@ CHECKS = [
     ("conv2d general", check_conv_general),
     ("conv2d depthwise", check_conv_depthwise),
     ("batchnorm", check_batchnorm),
+    ("conv epilogue", check_conv_epilogue),
     ("maxpool 3/2", check_maxpool),
     ("sobel ramp", check_sobel),
     ("bilinear upsample", check_bilinear),

@@ -16,6 +16,11 @@ tiles (blocks of output rows, and of channels when depthwise) whose work
 fits buffers of about ``_TILE`` elements reused from tile to tile, so no
 float64 temporary ever spans the whole map and the input is never padded
 as a whole; each tile is rounded straight into its slice of the output.
+``conv2d(x, p, bn, act)`` then finishes that slice in place with
+batchnorm and an activation while it is still in cache, in the tile's own
+free work buffer, using the same in-place helpers (``_normalize``,
+``_activate``) as ``batchnorm_inference`` and ``activation``, so the fused
+result equals the separate passes bit for bit.
 
 Threading: ``_map_tiles`` splits a conv's tiles into one contiguous chunk
 per core the process may run on; the calling thread runs the first chunk
@@ -23,20 +28,22 @@ and a module-level pool of cores - 1 threads the others, while numpy
 releases the GIL inside each copy, ufunc and matmul.  The calling thread
 allocates every chunk's buffers.  Tiles, tap order and GEMM shapes do not
 depend on the split, so outputs are bitwise the same on any core count.
-The pool is made at import and made again in a forked child.  With more
-than one core, importing this module also puts numpy's bundled OpenBLAS
-on one thread for the whole process, since the cores already run one tile
-each.  The threading and the OpenBLAS pin were timed on two cores only.
+The pool (and ``concurrent.futures``) is made by the first conv that
+spans two chunks, and made again by a forked child's first such conv.
+With more than one core, importing this module puts numpy's bundled
+OpenBLAS on one thread for the whole process, since the cores already run
+one tile each.  The threading and the OpenBLAS pin were timed on two
+cores only.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,27 +52,40 @@ FeatureMap = np.ndarray
 """Alias for a float32 array in (N, C, H, W) order."""
 
 ActivationKind = Literal["relu", "silu", "sigmoid"]
+_KINDS = get_args(ActivationKind)
 
 # float64 elements (batch axis included) in the work buffer a conv reuses
 # from tile to tile: 2 MB, which stays in a core's L2 cache.
 _TILE = 1 << 18
 
 # A conv splits its tiles into one chunk per core: the calling thread runs
-# the first and _POOL's _CORES - 1 threads the others.
+# the first and the _CORES - 1 threads of _pool() the others.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL: ThreadPoolExecutor | None = None
+_POOL = None  # a concurrent.futures.ThreadPoolExecutor once _pool() made it
+_POOL_LOCK = threading.Lock()
 _BLAS_THREAD_SETTERS = (
     "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
 )
 
 
-def _start_pool() -> None:
-    """Start the tile pool; runs again in a forked child, whose copy of the
-    parent's pool has no threads.  The threads start on the first conv
-    that spans two tiles."""
+def _pool():
+    """The tile pool, made (and ``concurrent.futures`` imported) by the
+    first conv that spans two chunks."""
     global _POOL
-    if _CORES > 1:
-        _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="nmvg-tiles")
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="nmvg-tiles")
+        return _POOL
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, whose copy of it has no threads
+    (and whose copy of the lock another thread may hold); the child's first
+    multi-chunk conv makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
 
 
 def _pin_blas() -> None:
@@ -87,11 +107,10 @@ def _pin_blas() -> None:
             return
 
 
-_start_pool()
 if _CORES > 1:
     _pin_blas()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_pool)
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class ShapeError(ValueError):
@@ -205,8 +224,11 @@ class BNParams:
         return self.gamma.shape[0]
 
 
-def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
-    """Grouped 2-D cross-correlation with zero padding.
+def conv2d(
+    x: FeatureMap, p: ConvParams, bn: BNParams | None = None, act: ActivationKind | None = None
+) -> FeatureMap:
+    """Grouped 2-D cross-correlation with zero padding, optionally finished
+    by batchnorm ``bn`` and then activation ``act``.
 
     Output spatial dims follow floor((H + 2*pad - k_h) / stride) + 1.
     Both paths read the padded input as stride-phase planes (``_planes``)
@@ -218,12 +240,16 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
     blocks of output rows and contract them in ``_contract_rows``.  Both
     paths accumulate in float64, round each block to float32 in the
     output, and spread their blocks over the cores with ``_map_tiles``.
+    Each block then gets ``bn`` and ``act`` in place while it is still in
+    cache, which equals ``activation(batchnorm_inference(conv2d(x, p), bn),
+    act)`` bit for bit.
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernel expects {p.in_channels}")
     co, cg, kh, kw = p.kernel.shape
+    finish = None if bn is None and act is None else _epilogue(bn, act, co)
     if h + 2 * p.padding < kh or w + 2 * p.padding < kw:
         raise ShapeError(
             f"spatial dims {(h, w)} too small for kernel {(kh, kw)} at padding {p.padding}"
@@ -258,7 +284,7 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
 
             return fill
 
-        _contract_rows(out, p, make_fill)
+        _contract_rows(out, p, make_fill, finish)
         return out
     m = co // c
     k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1)
@@ -294,6 +320,8 @@ def conv2d(x: FeatureMap, p: ConvParams) -> FeatureMap:
                 acc += bias[c0:c1]
             block_out = acc.reshape(n, (c1 - c0) * m, r1 - r0, wq)
             out[:, c0 * m : c1 * m, r0:r1] = block_out[..., :wo]
+            if finish is not None:
+                finish(out[:, c0 * m : c1 * m, r0:r1], c0 * m, c1 * m, prod_buf.view(np.float32))
 
         return tile
 
@@ -357,6 +385,7 @@ def _contract_rows(
     out: np.ndarray,
     p: ConvParams,
     make_fill: Callable[[int], Callable[[np.ndarray, int, int], None]],
+    finish: Callable | None = None,
 ) -> None:
     """Write the float32 result of conv ``p`` into ``out`` (N, C_out, H_out,
     W_out), one block of output rows at a time.
@@ -369,7 +398,8 @@ def _contract_rows(
     Each block is contracted with the kernel as
     (groups, C_out/groups, C_in/groups*k_h*k_w) in one batched float64
     matmul into a reused result buffer, gets the bias added in float64,
-    and is rounded into its rows of ``out``.
+    and is rounded into its rows of ``out``, which ``finish`` (see
+    ``_epilogue``) then finishes in place.
     """
     n, co, ho, wo = out.shape
     _, cg, kh, kw = p.kernel.shape
@@ -397,6 +427,8 @@ def _contract_rows(
             if bias is not None:
                 block += bias
             out[:, :, r0:r1] = block.reshape(n, co, r1 - r0, wo)
+            if finish is not None:
+                finish(out[:, :, r0:r1], 0, co, res_buf.view(np.float32))
 
         return tile
 
@@ -411,18 +443,19 @@ def _map_tiles(tiles: list, make_tile: Callable[[], Callable]) -> None:
     returns that chunk's ``tile``, so every work buffer is allocated here
     and not in a pool thread (glibc would keep each thread's freed
     temporaries in that thread's own malloc arena).  The calling thread
-    runs the first chunk and ``_POOL`` the others, so one chunk never
-    touches the pool.  Each tile writes its own slice of the output, so
-    the split changes no bit.  An exception in any chunk is raised once
-    every chunk has finished.
+    runs the first chunk and ``_pool()`` the others, so one chunk never
+    touches (or makes) the pool.  Each tile writes its own slice of the
+    output, so the split changes no bit.  An exception in any chunk is
+    raised once every chunk has finished.
     """
     k = min(_CORES, len(tiles))
     jobs = [(make_tile(), tiles[len(tiles) * i // k : len(tiles) * (i + 1) // k]) for i in range(k)]
-    futures = [_POOL.submit(_run_chunk, *job) for job in jobs[1:]]
+    futures = [_pool().submit(_run_chunk, *job) for job in jobs[1:]]
     try:
         _run_chunk(*jobs[0])
     finally:
-        wait(futures)
+        for f in futures:
+            f.exception()  # waits for the chunk without raising
     for f in futures:
         f.result()
 
@@ -432,37 +465,90 @@ def _run_chunk(tile: Callable, chunk: list) -> None:
         tile(t)
 
 
+def _epilogue(bn: BNParams | None, act: ActivationKind | None, channels: int) -> Callable:
+    """Check a conv's epilogue and return ``finish(y, c0, c1, scratch)``,
+    which applies ``bn`` over channels c0:c1 and then ``act`` to the
+    float32 output block y in place.  ``scratch`` is float32 with at least
+    2 * y.size elements (the block's free float64 work buffer, viewed)."""
+    if act is not None and act not in _KINDS:
+        raise ValueError(f"unknown activation kind: {act!r}")
+    if bn is not None and bn.channels != channels:
+        raise ShapeError(f"conv has {channels} output channels, batchnorm expects {bn.channels}")
+    terms = None if bn is None else _bn_terms(bn)
+
+    def finish(y, c0, c1, scratch):
+        if terms is not None:
+            _normalize(y, [t[c0:c1] for t in terms], out=y)
+        if act is not None:
+            _activate(y, act, y, scratch)
+
+    return finish
+
+
+def _bn_terms(p: BNParams) -> list[np.ndarray]:
+    """Mean, gamma, std and beta of ``p``, each shaped (C, 1, 1)."""
+    std = np.sqrt(p.running_var + np.float32(p.epsilon))
+    return [a[:, None, None] for a in (p.running_mean, p.gamma, std, p.beta)]
+
+
+def _normalize(x: np.ndarray, terms: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """(x - mean) * gamma / std + beta per channel, into ``out`` when given."""
+    mean, gamma, std, beta = terms
+    y = np.subtract(x, mean, out=out)
+    y *= gamma
+    y /= std
+    y += beta
+    return y
+
+
+def _activate(
+    x: np.ndarray,
+    kind: ActivationKind,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Activation ``kind`` of x, into ``out`` (which may be x) when given.
+    The sigmoids use ``scratch`` (x's dtype, at least 2 * x.size elements;
+    made when None)."""
+    if kind == "relu":
+        return np.maximum(x, 0, out=out)
+    if out is None:
+        out = np.empty_like(x)
+    if scratch is None:
+        scratch = np.empty(2 * x.size, x.dtype)
+    # e = exp(-|x|) never overflows.  The numerator is 1 where x >= 0 (e <= 1
+    # there) and e below, so the maximum picks the stable form per sign.
+    e = scratch[: x.size].reshape(x.shape)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = out if kind == "sigmoid" else scratch[x.size : 2 * x.size].reshape(x.shape)
+    np.greater_equal(x, 0, out=num)
+    np.maximum(e, num, out=num)
+    e += 1
+    num /= e
+    if kind == "silu":
+        np.multiply(x, num, out=out)
+    return out
+
+
 def batchnorm_inference(x: FeatureMap, p: BNParams) -> FeatureMap:
     """Per-channel affine normalization using frozen running statistics."""
     x = _as_f32(x, 4, "batchnorm input")
     if x.shape[1] != p.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, batchnorm expects {p.channels}")
-    std = np.sqrt(p.running_var + np.float32(p.epsilon))[:, None, None]
-    y = x - p.running_mean[:, None, None]
-    y *= p.gamma[:, None, None]
-    y /= std
-    y += p.beta[:, None, None]
-    return y
+    return _normalize(x, _bn_terms(p))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows.  The numerator is 1 where x >= 0 (e <= 1
-    # there) and e below, so the maximum picks the stable form per sign.
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1 + e)
+    """Sigmoid in x's own float dtype."""
+    return _activate(np.asarray(x), "sigmoid")
 
 
 def activation(x: np.ndarray, kind: ActivationKind) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float32)
-    if kind == "relu":
-        return np.maximum(x, np.float32(0.0))
-    if kind == "silu":
-        y = _sigmoid(x)
-        y *= x
-        return y
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    raise ValueError(f"unknown activation kind: {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown activation kind: {kind!r}")
+    return _activate(np.asarray(x, dtype=np.float32), kind)
 
 
 def maxpool1d(x: np.ndarray, kernel: int = 3, stride: int = 2) -> np.ndarray:

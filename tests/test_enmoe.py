@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,22 @@ class TestEnmoeForward:
         p = rand_enmoe(rng, c)
         f = rng.standard_normal((2, c, 6, 7)).astype(np.float32)
         np.testing.assert_allclose(enmoe_forward(f, p), enmoe_ref(f, p), atol=1e-5)
+
+    def test_frame640_level0_peak_memory(self, cores):
+        """Each expert map is dropped once its gate is made, and no BN or
+        activation holds a map of its own: above its output, a 640 level-0
+        forward peaks at no more than five input-sized maps."""
+        rng = np.random.default_rng(8)
+        p = rand_enmoe(rng, 64)
+        f = rng.standard_normal((1, 64, 160, 160)).astype(np.float32)
+        cores(2)
+        tracemalloc.start()
+        try:
+            out = enmoe_forward(f, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 5 * f.nbytes
 
     def test_small_extent_rejected(self):
         rng = np.random.default_rng(4)

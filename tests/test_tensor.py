@@ -1,6 +1,8 @@
 import ctypes
 import os
 import select
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -173,7 +175,7 @@ class TestConvTiles:
                 tiles.append(xb.shape[1] * (r1 - r0))
             return planes(xb, conv, r0, r1, buf)
 
-        def contract_spy(out, conv, make_fill):
+        def contract_spy(out, conv, make_fill, *rest):
             def make_fill_spy(rows):
                 fill = make_fill(rows)
 
@@ -183,7 +185,7 @@ class TestConvTiles:
 
                 return fill_spy
 
-            contract(out, conv, make_fill_spy)
+            contract(out, conv, make_fill_spy, *rest)
 
         def no_pad(*args, **kwargs):
             raise AssertionError("conv2d padded its whole input")
@@ -370,6 +372,57 @@ class TestCorePool:
             os.close(read_end)
             os.waitpid(pid, 0)
 
+    def test_import_leaves_the_pool_unmade(self):
+        src = str(Path(tensor.__file__).parents[1])
+        code = "import sys, nmvg; print('concurrent.futures' in sys.modules, nmvg.tensor._POOL)"
+        env = dict(os.environ, PYTHONPATH=src)
+        args = [sys.executable, "-c", code]
+        done = subprocess.run(args, env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout.split() == ["False", "None"]
+
+    def test_pool_made_by_the_first_multi_chunk_conv(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_CORES", 2)
+        monkeypatch.setattr(tensor, "_POOL", None)
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        p = ConvParams(np.ones((2, 2, 3, 3), dtype=np.float32), padding=1)
+        conv2d(x, p)
+        assert tensor._POOL is None  # one tile
+        monkeypatch.setattr(tensor, "_TILE", 2 * 9 * 4)
+        want = conv2d_ref(x, p.kernel, padding=1)
+        got = conv2d(x, p)
+        pool = tensor._POOL
+        try:
+            assert pool is not None and pool is tensor._pool()
+            np.testing.assert_allclose(got, want, atol=1e-5)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+
+    def test_threads_racing_to_make_the_pool_share_one(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_CORES", 2)
+        monkeypatch.setattr(tensor, "_POOL", None)
+        barrier = threading.Barrier(8)
+        pools = []
+
+        def make():
+            barrier.wait(timeout=30)
+            pools.append(tensor._pool())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=make) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in set(pools):
+                pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(pools) == 8 and len(set(pools)) == 1
+
     @pytest.mark.skipif(tensor._CORES < 2, reason="needs two cores")
     def test_openblas_runs_on_one_thread(self):
         libs = Path(np.__file__).parent.parent / "numpy.libs"
@@ -517,6 +570,146 @@ class TestElementwiseBits:
         p = BNParams(gamma=g, beta=b, running_mean=m, running_var=v, epsilon=1e-5)
         got = batchnorm_inference(x, p)
         assert np.array_equal(_bits(got), _bits(bn_expr(x, g, b, m, v, 1e-5)))
+
+
+
+def _signed_bn(c, rng=None):
+    """BN over c channels with gammas of both signs, betas of +0 and -0,
+    means of 0 and -0 and a zero variance; random stats when rng is given."""
+    if rng is not None:
+        return BNParams(
+            gamma=rng.uniform(-1.5, 1.5, c).astype(np.float32),
+            beta=rng.standard_normal(c).astype(np.float32),
+            running_mean=rng.standard_normal(c).astype(np.float32),
+            running_var=rng.uniform(0.0, 2.0, c).astype(np.float32),
+        )
+    return BNParams(
+        gamma=np.resize(np.float32([1.5, -0.75, 2.0, -1.0]), c),
+        beta=np.resize(np.float32([0.0, -0.0, 0.25, -0.0]), c),
+        running_mean=np.resize(np.float32([0.0, 1.0, -0.0, 88.7]), c),
+        running_var=np.resize(np.float32([1.0, 0.5, 3.0, 0.0]), c),
+        epsilon=1e-5,
+    )
+
+
+def _epilogues(bn):
+    """BN alone, each activation alone and each behind BN."""
+    kinds = ("relu", "silu", "sigmoid")
+    return [(bn, None)] + [(None, k) for k in kinds] + [(bn, k) for k in kinds]
+
+
+def _unfused(y, bn, act):
+    if bn is not None:
+        y = batchnorm_inference(y, bn)
+    return y if act is None else activation(y, act)
+
+
+class TestConvEpilogue:
+    """conv2d(x, p, bn, act) finishes each tile in place and equals
+    activation(batchnorm_inference(conv2d(x, p), bn), act) bit for bit."""
+
+    # (batch, C_in, H, W, C_out, groups, k, stride, padding)
+    @pytest.mark.parametrize(
+        "n,cin,h,w,cout,groups,k,stride,padding",
+        [
+            (1, 3, 9, 8, 4, 1, 3, 1, 1),  # dense 3x3
+            (2, 4, 11, 7, 6, 2, 3, 2, 1),  # grouped, batch 2, stride 2
+            (1, 5, 8, 7, 5, 5, 3, 1, 1),  # depthwise 3x3
+            (2, 3, 9, 7, 6, 3, 3, 2, 1),  # depthwise multiplier 2, batch 2, stride 2
+            (1, 4, 10, 9, 4, 4, 5, 1, 2),  # depthwise 5x5
+            (1, 4, 9, 8, 6, 1, 1, 1, 0),  # dense 1x1: planes are a view of x
+            (2, 3, 9, 8, 3, 3, 1, 2, 0),  # depthwise 1x1 stride 2, batch 2
+            (1, 3, 11, 9, 4, 1, 5, 2, 2),  # dense 5x5 stride 2
+        ],
+    )
+    @pytest.mark.parametrize("tile", [None, 1, 37, 700])
+    def test_equals_unfused(
+        self, monkeypatch, cores, tile, n, cin, h, w, cout, groups, k, stride, padding
+    ):
+        rng = np.random.default_rng(n * 1000 + cin * 100 + groups * 10 + k)
+        x = (3 * rng.standard_normal((n, cin, h, w))).astype(np.float32)
+        p = ConvParams(
+            rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32),
+            rng.standard_normal(cout).astype(np.float32),
+            stride,
+            padding,
+            groups,
+        )
+        if tile is not None:
+            monkeypatch.setattr(tensor, "_TILE", tile)
+        epilogues = _epilogues(_signed_bn(cout, rng))
+        for c in (1, 2, 3):
+            cores(c)
+            plain = conv2d(x, p)
+            for bn, act in epilogues:
+                want = _unfused(plain, bn, act)
+                assert np.array_equal(_bits(conv2d(x, p, bn, act)), _bits(want)), (c, act)
+
+    # frame640 shapes: (input, C_out, k, stride, groups); the kernel passes
+    # its input through, so every tile slice holds _SPECIAL_F32 values.
+    @pytest.mark.parametrize(
+        "shape,cout,k,stride,groups",
+        [
+            ((1, 64, 160, 160), 64, 1, 1, 1),  # ENMoE gates, rec pw
+            ((1, 64, 160, 160), 1, 1, 1, 1),  # rec conf projection
+            ((1, 64, 160, 160), 64, 3, 1, 1),  # dense 3x3
+            ((1, 64, 160, 160), 64, 3, 1, 64),  # rec dw, msrep conv3
+            ((1, 16, 320, 320), 16, 3, 2, 16),  # separable down dw
+            ((1, 64, 160, 160), 64, 5, 1, 64),  # ENMoE neighbour expert
+            ((1, 64, 160, 160), 64, 1, 1, 64),  # ENMoE edge expert, msrep conv1
+        ],
+        ids=["dense1x1", "dense1x1to1", "dense3x3", "dw3x3s1", "dw3x3s2", "dw5x5", "dw1x1"],
+    )
+    def test_frame640_tile_slices_hold_special_values(self, shape, cout, k, stride, groups):
+        c = shape[1]
+        normal = 8 * np.random.default_rng(16).standard_normal(97).astype(np.float32)
+        x = np.resize(np.concatenate([_SPECIAL_F32, normal]), shape)
+        kernel = np.zeros((cout, c // groups, k, k), dtype=np.float32)
+        for o in range(cout):
+            kernel[o, 0 if groups > 1 else o, k // 2, k // 2] = 1.0
+        p = ConvParams(kernel, stride=stride, padding=k // 2, groups=groups)
+        plain = conv2d(x, p)
+        assert np.isin(_SPECIAL_F32[1:], plain).all()  # the values reach the epilogue
+        for bn, act in _epilogues(_signed_bn(cout)):
+            got = conv2d(x, p, bn, act)
+            assert np.array_equal(_bits(got), _bits(_unfused(plain, bn, act))), act
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_bad_epilogue_rejected_before_any_tile(self, monkeypatch, groups):
+        def no_tiles(*args):
+            raise AssertionError("a tile ran")
+
+        monkeypatch.setattr(tensor, "_map_tiles", no_tiles)
+        x = np.ones((1, 3, 6, 6), dtype=np.float32)
+        p = ConvParams(np.ones((3, 3 // groups, 3, 3), dtype=np.float32), padding=1, groups=groups)
+        with pytest.raises(ShapeError, match="batchnorm expects 4"):
+            conv2d(x, p, _signed_bn(4), "relu")
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            conv2d(x, p, _signed_bn(3), "tanh")
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            conv2d(x, p, act="tanh")
+
+    @pytest.mark.parametrize("groups", [1, 64])
+    def test_epilogue_holds_no_whole_map_temporary(self, cores, groups):
+        """With BN and SiLU a 640 conv peaks as high as without them: the
+        epilogue works in the tile's own buffers.  The slack, a tenth of the
+        output, covers the buffers of numpy's ufunc iterators (8192 elements
+        per operand per call, 192 KB here)."""
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((1, 64, 160, 160)).astype(np.float32)
+        kernel = rng.standard_normal((64, 64 // groups, 3, 3)).astype(np.float32)
+        p = ConvParams(kernel, padding=1, groups=groups)
+        bn = _signed_bn(64, rng)
+        cores(2)
+        peaks = []
+        for args in ((), (bn, "silu")):
+            tracemalloc.start()
+            try:
+                out = conv2d(x, p, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + out.nbytes // 10
 
 
 class TestMaxpool1d:
