@@ -19,6 +19,7 @@ from .metrics import EnergyTrace, EvalResult, average_precision, box_iou, mask_m
 from .model import (
     DEFAULT_VOCAB,
     Model,
+    NonFiniteOutputError,
     RunConfig,
     fuse_archive,
     generate_archive,
@@ -43,6 +44,7 @@ __all__ = [
     "ManifestError",
     "MissingParameterError",
     "NonFiniteError",
+    "NonFiniteOutputError",
     "Model",
     "OffsetOverlapError",
     "RunConfig",

@@ -5,7 +5,8 @@ radar stages at 1/4, 1/8, 1/16 and 1/32 of the input resolution with a
 configured channel count per stage, and a (embed_dim, L) text feature with
 a fixed token budget.  The encoders here are deliberately small: separable
 convolutions for the image branch, depthwise residual blocks for radar and
-a plain embedding lookup for text.
+a plain embedding lookup for text.  They do not check their inputs:
+``Model.forward`` does that once, before the first conv.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .tensor import (
     ShapeError,
     conv2d,
 )
-
-#: Total downsampling factor across the stage pyramid; inputs must divide it.
-STRIDE_TOTAL = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,23 +97,9 @@ class ImageEncoderParams:
     stages: tuple[SeparableDown, SeparableDown, SeparableDown, SeparableDown]
 
 
-def _check_raster_input(x, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 4 or x.shape[1] != 3:
-        raise ShapeError(f"{what} must be (N, 3, H, W), got shape {x.shape}")
-    if x.shape[2] % STRIDE_TOTAL or x.shape[3] % STRIDE_TOTAL:
-        raise ShapeError(
-            f"{what} spatial dims {x.shape[2:]} must be divisible by {STRIDE_TOTAL}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} contains non-finite values")
-    return x
-
-
 def image_encoder(rgb: FeatureMap, p: ImageEncoderParams) -> list[FeatureMap]:
     """Four separable downsampling stages at 1/4, 1/8, 1/16, 1/32 resolution."""
-    x = _check_raster_input(rgb, "image input")
-    x = _separable_down(x, p.stem)
+    x = _separable_down(rgb, p.stem)
     outs = []
     for stage in p.stages:
         x = _separable_down(x, stage)
@@ -144,8 +128,7 @@ class RadarEncoderParams:
 
 def radar_encoder(radar: FeatureMap, p: RadarEncoderParams) -> list[FeatureMap]:
     """Mirror of image_encoder over the range/velocity/power planes."""
-    x = _check_raster_input(radar, "radar input")
-    x = conv2d(x, p.stem_dw, p.stem_bn, "relu")
+    x = conv2d(radar, p.stem_dw, p.stem_bn, "relu")
     outs = []
     for stage in p.stages:
         h = conv2d(x, stage.block1_dw, stage.block1_bn, "relu")
@@ -168,15 +151,7 @@ class TextEncoderParams:
             raise ShapeError(f"embedding table must be 2-D, got shape {e.shape}")
         object.__setattr__(self, "embedding", e)
 
-    @property
-    def vocab(self) -> int:
-        return self.embedding.shape[0]
-
 
 def text_encoder(tokens: TokenSequence, p: TextEncoderParams) -> np.ndarray:
     """Pure embedding lookup returning (embed_dim, L); padded slots emit row 0."""
-    ids = tokens.ids
-    if (ids >= p.vocab).any():
-        bad = int(ids[ids >= p.vocab][0])
-        raise ValueError(f"token id {bad} is outside the embedding table ({p.vocab} rows)")
-    return np.ascontiguousarray(p.embedding[ids].T)
+    return np.ascontiguousarray(p.embedding[tokens.ids].T)

@@ -23,10 +23,6 @@ class FpnParams:
         if len(widths) != 1:
             raise ShapeError(f"all fpn convs must agree on output channels, got {sorted(widths)}")
 
-    @property
-    def out_channels(self) -> int:
-        return self.lateral[0].out_channels
-
 
 def fpn_forward(stages: list[FeatureMap], p: FpnParams) -> list[FeatureMap]:
     """Merge coarse levels down into fine ones and smooth each output.

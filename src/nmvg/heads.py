@@ -13,7 +13,7 @@ msrep_fuse performs that fold exactly (up to float rounding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -298,10 +298,6 @@ class ResHeadParams:
     entry: ConvParams
     blocks: tuple[MsRepParams, MsRepParams, MsRepParams]
     proj: ConvParams
-
-
-def res_head_fused(p: ResHeadParams) -> ResHeadParams:
-    return replace(p, blocks=tuple(msrep_fuse(b) for b in p.blocks))
 
 
 def res_head_forward(

@@ -393,6 +393,11 @@ def generate_archive(cfg: RunConfig, seed: int | None = None) -> WeightArchive:
     return WeightArchive(entries=entries)
 
 
+class NonFiniteOutputError(ValueError):
+    """A forward output holds NaN or inf: the inputs drove the model out of
+    float32 range, so no boxes or mask made from it would mean anything."""
+
+
 @dataclass(frozen=True, eq=False)
 class ModelOutputs:
     heatmap: np.ndarray
@@ -417,7 +422,6 @@ class Model:
     enmoe_p: tuple[EnMoeParams, ...]
     rec_p: RecHeadParams
     res_p: ResHeadParams
-    fused: bool
 
     @classmethod
     def from_archive(cls, cfg: RunConfig, archive: WeightArchive, mode: str = "auto") -> "Model":
@@ -430,18 +434,35 @@ class Model:
             raise ArchiveError("archive holds no fused segmentation blocks; run fuse-rep first")
         if mode == "train" and fused_present:
             raise ArchiveError("archive holds fused segmentation blocks; trainable form is gone")
-        fused = mode == "fused"
-        return cls(cfg, **_bind(cfg, _Binder(archive), fused), fused=fused)
+        return cls(cfg, **_bind(cfg, _Binder(archive), mode == "fused"))
+
+    def _check_inputs(self, image, radar, tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
+        """The one check of the forward's inputs: image and radar are finite
+        float32 (N, 3, S, S) at the input size with one batch N >= 1, and
+        tokens are text_len rows of the embedding table."""
+        side = (self.cfg.input_size,) * 2
+        image, radar = (np.asarray(x, dtype=np.float32) for x in (image, radar))
+        for what, x in (("image", image), ("radar", radar)):
+            if x.ndim != 4 or x.shape[1] != 3:
+                raise ShapeError(f"{what} input must be (N, 3, H, W), got shape {x.shape}")
+            if x.shape[2:] != side:
+                raise ShapeError(f"{what} input extent {x.shape[2:]} is not the model's input size {side}")
+            if len(x) != len(image) or not len(x):
+                raise ShapeError(f"{what} input batch {len(x)} is empty or not the image's {len(image)}")
+            if not np.isfinite(x).all():
+                raise ValueError(f"{what} input contains non-finite values")
+        ids, rows = tokens.ids, self.text_p.embedding.shape[0]
+        if len(ids) != self.cfg.text_len:
+            raise ShapeError(f"tokens hold {len(ids)} ids, the model expects text_len {self.cfg.text_len}")
+        if ids.max() >= rows:
+            raise ValueError(f"token id {ids.max()} is outside the embedding table ({rows} rows)")
+        return image, radar
 
     def forward(self, image, radar, tokens: TokenSequence) -> ModelOutputs:
+        """Check the inputs before any layer runs, run the pipeline, and raise
+        NonFiniteOutputError naming the first output that holds NaN or inf."""
         cfg = self.cfg
-        for what, x in (("image", image), ("radar", radar)):
-            extent = np.shape(x)[-2:]
-            if extent != (cfg.input_size, cfg.input_size):
-                raise ShapeError(
-                    f"{what} input extent {extent} does not match the model's input size "
-                    f"{(cfg.input_size, cfg.input_size)}"
-                )
+        image, radar = self._check_inputs(image, radar, tokens)
         img_stages = image_encoder(image, self.image_p)
         rad_stages = radar_encoder(radar, self.radar_p)
         text = text_encoder(tokens, self.text_p)  # (E, L)
@@ -471,6 +492,9 @@ class Model:
         feat = routed[cfg.head_scale - 2]
         heat, sizes, offsets = rec_head_forward(feat, self.rec_p)
         logits, masks = res_head_forward(routed, self.res_p, cfg.input_size, cfg.mask_thresh)
+        for name, a in (("heatmap", heat), ("sizes", sizes), ("offsets", offsets), ("mask_logits", logits)):
+            if not np.isfinite(a).all():
+                raise NonFiniteOutputError(f"forward output {name} holds non-finite values")
         ratio = cfg.input_size // heat.shape[3]
         return ModelOutputs(
             heatmap=heat,

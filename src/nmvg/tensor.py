@@ -246,6 +246,8 @@ def conv2d(
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
+    if n < 1:
+        raise ShapeError(f"conv input has an empty batch, got shape {x.shape}")
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernel expects {p.in_channels}")
     co, cg, kh, kw = p.kernel.shape
@@ -397,14 +399,15 @@ def _contract_rows(
     output rows r0:r1 into a view of a buffer of about ``_TILE`` elements.
     Each block is contracted with the kernel as
     (groups, C_out/groups, C_in/groups*k_h*k_w) in one batched float64
-    matmul into a reused result buffer, gets the bias added in float64,
-    and is rounded into its rows of ``out``, which ``finish`` (see
-    ``_epilogue``) then finishes in place.
+    matmul into a reused result buffer, which the larger of depth and
+    C_out keeps near ``_TILE`` elements too, gets the bias added in
+    float64, and is rounded into its rows of ``out``, which ``finish``
+    (see ``_epilogue``) then finishes in place.
     """
     n, co, ho, wo = out.shape
     _, cg, kh, kw = p.kernel.shape
     depth = p.in_channels * kh * kw
-    rows = min(ho, max(1, _TILE // (n * depth * wo)))
+    rows = min(ho, max(1, _TILE // (n * max(depth, co) * wo)))
     k64 = p.kernel.astype(np.float64).reshape(p.groups, co // p.groups, cg * kh * kw)
     bias = None if p.bias is None else p.bias.astype(np.float64)[:, None]
 

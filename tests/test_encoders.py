@@ -100,9 +100,12 @@ class TestImageEncoder:
         assert all(s.shape[0] == 3 for s in stages)
 
     def test_indivisible_extent_rejected(self, small_model):
-        _, model = small_model
-        with pytest.raises(ShapeError):
-            image_encoder(np.zeros((1, 3, 60, 64), dtype=np.float32), model.image_p)
+        """The extent is checked once, by Model.forward; the encoder is a plain layer."""
+        cfg, model = small_model
+        x = np.zeros((1, 3, 64, 64), dtype=np.float32)
+        tokens = tokenize("the vessel", VOCAB, cfg.text_len)
+        with pytest.raises(ShapeError, match=r"image input extent \(60, 64\)"):
+            model.forward(np.zeros((1, 3, 60, 64), dtype=np.float32), x, tokens)
 
     def test_wrong_channel_count_rejected(self, small_model):
         _, model = small_model
@@ -154,8 +157,12 @@ class TestTextEncoder:
         np.testing.assert_array_equal(out[:, 0], table[VOCAB.index("the")])
         np.testing.assert_array_equal(out[:, 2], table[0])
 
-    def test_out_of_range_id_rejected(self):
-        p = TextEncoderParams(embedding=np.zeros((4, 2), dtype=np.float32))
-        toks = TokenSequence(ids=np.array([1, 9]), padding_mask=np.array([False, False]))
-        with pytest.raises(ValueError, match="9"):
-            text_encoder(toks, p)
+    def test_out_of_range_id_rejected(self, small_model):
+        """Ids are checked once, by Model.forward, against the bound table."""
+        cfg, model = small_model
+        ids = np.zeros(cfg.text_len, dtype=np.int64)
+        ids[1] = cfg.text_vocab + 9
+        toks = TokenSequence(ids=ids, padding_mask=ids == 0)
+        x = np.zeros((1, 3, 64, 64), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"token id {cfg.text_vocab + 9}"):
+            model.forward(x, x, toks)

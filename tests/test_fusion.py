@@ -62,6 +62,12 @@ def _deform_params(rng, c, offset_scale=0.1, zero=False):
 
 
 class TestDeformConv:
+    def test_empty_batch_rejected(self):
+        """Its offset conv refuses N = 0 before any sampling runs."""
+        p = _deform_params(np.random.default_rng(1), 3)
+        with pytest.raises(ShapeError, match="empty batch"):
+            deform_conv(np.zeros((0, 3, 6, 6), dtype=np.float32), p)
+
     def test_zero_offsets_reduce_to_standard_conv(self):
         rng = np.random.default_rng(2)
         p = _deform_params(rng, 3, zero=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from nmvg.heads import (
     msrep_fuse,
     rec_head_forward,
     res_head_forward,
-    res_head_fused,
 )
 from nmvg.tensor import ConvParams, ShapeError
 from oracles import decode_ref, rand_bn, rand_conv, rand_msrep
@@ -292,7 +293,8 @@ class TestResHead:
         p = _res_params(rng, 4)
         pyramid = _pyramid(rng, 4, 16)
         base_logits, _ = res_head_forward(pyramid, p, image_size=64)
-        fused_logits, _ = res_head_forward(pyramid, res_head_fused(p), image_size=64)
+        fused = replace(p, blocks=tuple(msrep_fuse(b) for b in p.blocks))
+        fused_logits, _ = res_head_forward(pyramid, fused, image_size=64)
         np.testing.assert_allclose(fused_logits, base_logits, atol=1e-4)
 
     def test_wrong_level_count_rejected(self):

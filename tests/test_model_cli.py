@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nmvg.model as model_mod
 from nmvg.archive import (
     ArchiveError,
     MissingParameterError,
@@ -17,11 +20,12 @@ from nmvg.archive import (
     save_archive,
 )
 from nmvg.cli import main
-from nmvg.encoders import tokenize
+from nmvg.encoders import TokenSequence, tokenize
 from nmvg.losses import LossConfig
 from nmvg.model import (
     DEFAULT_VOCAB,
     Model,
+    NonFiniteOutputError,
     RunConfig,
     fuse_archive,
     generate_archive,
@@ -29,7 +33,16 @@ from nmvg.model import (
     parameter_shapes,
     run_infer,
 )
-from nmvg.rasters import RasterError, read_boxes, read_mask, write_boxes, write_mask
+from nmvg.rasters import (
+    RasterError,
+    read_boxes,
+    read_image,
+    read_mask,
+    read_radar,
+    write_boxes,
+    write_mask,
+    write_ppm,
+)
 from nmvg.heads import DetectionBox
 from nmvg.tensor import ShapeError
 
@@ -303,6 +316,99 @@ class TestForward:
             model.forward(inputs["image"], inputs["radar"], tokens)
 
 
+def _frame(n=1, c=3, side=64, fill=0.5):
+    return np.full((n, c, side, side), fill, dtype=np.float32)
+
+
+def _ids(length=SMALL.text_len, first=1):
+    ids = np.zeros(length, dtype=np.int64)
+    ids[0] = first
+    return TokenSequence(ids=ids, padding_mask=ids == 0)
+
+
+def _nan_at(x, index=(0, 1, 5, 7), bad=np.nan):
+    x[index] = bad
+    return x
+
+
+# (image, radar, tokens, error, message) per rejected input; every check runs
+# before the first encoder.
+REJECTED = {
+    "empty batch": (_frame(0), _frame(0), _ids(), ShapeError, "image input batch 0"),
+    "batch mismatch": (_frame(2), _frame(1), _ids(), ShapeError, "radar input batch 1 .* image's 2"),
+    "image channels": (_frame(c=1), _frame(), _ids(), ShapeError, r"image input must be \(N, 3, H, W\)"),
+    "radar channels": (_frame(), _frame(c=4), _ids(), ShapeError, r"radar input must be \(N, 3, H, W\)"),
+    "image 3-D": (_frame()[0], _frame(), _ids(), ShapeError, r"image input must be \(N, 3, H, W\)"),
+    "image extent": (_frame(side=96), _frame(), _ids(), ShapeError, r"image input extent \(96, 96\)"),
+    "radar extent": (_frame(), _frame(side=32), _ids(), ShapeError, r"radar input extent \(32, 32\)"),
+    "image nan": (_nan_at(_frame()), _frame(), _ids(), ValueError, "image input contains non-finite"),
+    "radar inf": (_frame(), _nan_at(_frame(), bad=np.inf), _ids(), ValueError, "radar input contains non-"),
+    "radar -inf": (_frame(), _nan_at(_frame(), bad=-np.inf), _ids(), ValueError, "radar input contains"),
+    "tokens short": (_frame(), _frame(), _ids(SMALL.text_len - 1), ShapeError, "49 ids.*text_len 50"),
+    "tokens long": (_frame(), _frame(), _ids(SMALL.text_len + 1), ShapeError, "51 ids.*text_len 50"),
+    "id at vocab": (_frame(), _frame(), _ids(first=SMALL.text_vocab), ValueError, "token id 26 "),
+    "id above vocab": (_frame(), _frame(), _ids(first=999), ValueError, "token id 999 "),
+}
+
+
+class TestForwardBoundary:
+    """``Model.forward`` decides every input once, before any layer runs,
+    and refuses to hand back a non-finite output."""
+
+    @pytest.fixture
+    def guarded(self, small_archive, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an encoder ran on a rejected input")
+
+        for name in ("image_encoder", "radar_encoder", "text_encoder"):
+            monkeypatch.setattr(model_mod, name, never)
+        return Model.from_archive(SMALL, small_archive)
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_before_any_encoder(self, guarded, case):
+        image, radar, tokens, error, message = REJECTED[case]
+        with pytest.raises(error, match=message) as info:
+            guarded.forward(image, radar, tokens)
+        assert isinstance(info.value, ShapeError) == (error is ShapeError)
+
+    def test_valid_batch_reaches_the_encoders(self, guarded):
+        with pytest.raises(AssertionError, match="an encoder ran"):
+            guarded.forward(_frame(2), _frame(2), _ids(first=SMALL.text_vocab - 1))
+
+    @pytest.mark.parametrize(
+        "poisoned,named",
+        [
+            (("heatmap", "mask_logits"), "heatmap"),
+            (("sizes",), "sizes"),
+            (("offsets", "mask_logits"), "offsets"),
+            (("mask_logits",), "mask_logits"),
+        ],
+        ids=["heatmap and mask_logits", "sizes", "offsets and mask_logits", "mask_logits"],
+    )
+    def test_non_finite_output_named_in_order(self, small_archive, monkeypatch, poisoned, named):
+        rec, res = model_mod.rec_head_forward, model_mod.res_head_forward
+
+        def poison(arrays, names):
+            for a, name in zip(arrays, names):
+                if name in poisoned:
+                    a[0, 0, 1, 2] = np.nan
+            return arrays
+
+        monkeypatch.setattr(
+            model_mod, "rec_head_forward", lambda *a: poison(rec(*a), ("heatmap", "sizes", "offsets"))
+        )
+        monkeypatch.setattr(model_mod, "res_head_forward", lambda *a: poison(res(*a), ("mask_logits",)))
+        model = Model.from_archive(SMALL, small_archive)
+        with pytest.raises(NonFiniteOutputError, match=f"output {named} holds non-finite"):
+            model.forward(_frame(), _frame(), _ids())
+
+    def test_non_finite_output_error_is_exported_value_error(self):
+        import nmvg
+
+        assert nmvg.NonFiniteOutputError is NonFiniteOutputError
+        assert issubclass(NonFiniteOutputError, ValueError)
+
+
 class TestFuseArchive:
     def test_branch_keys_swap_for_fused_keys(self, small_archive):
         fused = fuse_archive(small_archive)
@@ -428,6 +534,12 @@ def _infer_argv(fixture_dir, out_dir, *extra):
     ]
 
 
+def _scaled_radar(fixture_dir, work, scale):
+    path = work / "radar_scaled.f32"
+    (np.fromfile(fixture_dir / "radar.f32", dtype="<f4") * np.float32(scale)).astype("<f4").tofile(path)
+    return path
+
+
 class TestCli:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -486,6 +598,63 @@ class TestCli:
         assert rc == 2
         assert "fpn.smooth2.kernel" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_infer_overflowing_radar_exits_two(self, fixture_dir, tmp_path, capsys):
+        """Raw radar x1e20 is finite, so the reader and the entry check take
+        it, but it overflows float32 inside the model."""
+        radar = _scaled_radar(fixture_dir, tmp_path, 1e20)
+        config = str(fixture_dir / "run.cfg")
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", config, "--radar", str(radar))) == 2
+        assert "output heatmap holds non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "boxes.txt").exists()
+        assert not (tmp_path / "out" / "mask.pgm").exists()
+
+    @pytest.mark.parametrize("flag", ["--image", "--radar"])
+    def test_infer_rejected_raster_exits_two(self, fixture_dir, tmp_path, capsys, flag):
+        """A 96 px image at input size 64, or raw radar holding a NaN."""
+        bad = tmp_path / "bad"
+        if flag == "--image":
+            write_ppm(bad, np.zeros((3, 96, 96), dtype=np.uint8))
+        else:
+            planes = np.fromfile(fixture_dir / "radar.f32", dtype="<f4")
+            planes[123] = np.nan
+            planes.tofile(bad)
+        config = str(fixture_dir / "run.cfg")
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", config, flag, str(bad))) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(k=st.integers(0, 25))
+    @example(k=20)
+    @settings(max_examples=26, deadline=None)
+    def test_scaled_radar_never_exits_zero_with_non_finite_output(self, fixture_dir, tmp_path_factory, k):
+        """Raw radar scaled by 10**k: exit 0 only with finite outputs, else
+        exit 2 with nothing written."""
+        work = tmp_path_factory.mktemp("scaled")
+        radar = _scaled_radar(fixture_dir, work, 10.0**k)
+        config = fixture_dir / "run.cfg"
+        rc = main(_infer_argv(fixture_dir, work / "out", "--config", str(config), "--radar", str(radar)))
+        cfg = RunConfig.from_file(config)
+        model = Model.from_archive(cfg, load_archive(fixture_dir / "weights.nmvg"))
+        inputs = (
+            read_image(fixture_dir / "image.ppm", cfg.input_size)[None],
+            read_radar(radar, cfg.input_size)[None],
+            tokenize((fixture_dir / "prompt.txt").read_text(), list(DEFAULT_VOCAB), cfg.text_len),
+        )
+        if rc == 0:
+            out = model.forward(*inputs)
+            for a in (out.heatmap, out.sizes, out.offsets, out.mask_logits):
+                assert np.isfinite(a).all()
+            assert (work / "out" / "boxes.txt").exists()
+        else:
+            assert rc == 2
+            assert not (work / "out").exists()
+            with pytest.raises(NonFiniteOutputError):
+                model.forward(*inputs)
 
     def test_fuse_rep_round_trip(self, fixture_dir, tmp_path, capsys):
         dst = tmp_path / "fused.nmvg"

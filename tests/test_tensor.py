@@ -101,6 +101,13 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(np.ones((1, 1, 3, 3), dtype=np.float32), p)
 
+    @pytest.mark.parametrize("groups", [1, 4], ids=["dense", "depthwise"])
+    def test_empty_batch_rejected(self, groups):
+        """N = 0 would otherwise reach the tile sizing, which divides by N."""
+        p = ConvParams(kernel=np.ones((4, 4 // groups, 3, 3), dtype=np.float32), padding=1, groups=groups)
+        with pytest.raises(ShapeError, match="empty batch"):
+            conv2d(np.ones((0, 4, 8, 8), dtype=np.float32), p)
+
     def test_groups_must_divide_out_channels(self):
         with pytest.raises(ShapeError):
             ConvParams(kernel=np.ones((3, 1, 1, 1), dtype=np.float32), groups=2)
@@ -114,12 +121,13 @@ def _ragged_tile(n, cin, cout, groups, k, stride, ho, wo):
     """A ``_TILE`` that splits a conv into blocks of r output rows, r >= 2 not
     dividing ho, so the last block is ragged.  Depthwise blocks hold one
     channel (accumulator, tap product and phase planes per row), or two
-    channels of a one-row map."""
+    channels of a one-row map; dense blocks are sized by the larger of
+    the im2col depth and C_out."""
     r = next(r for r in range(2, ho + 2) if ho % r)
     if groups == cin:
         wq = wo + (k - 1) // stride
         return r * n * wq * (2 * (cout // cin) + stride**2)
-    return r * n * cin * k * k * wo
+    return r * n * max(cin * k * k, cout) * wo
 
 
 class TestConvTiles:
@@ -244,6 +252,23 @@ class TestConvTiles:
         finally:
             tracemalloc.stop()
         assert peak < 3 * out.nbytes
+
+    def test_wide_pointwise_result_buffer_stays_within_tile(self, cores):
+        """The 640 image stem's pointwise 3->16 conv at 320x320: row blocks
+        are sized by C_out as well as the im2col depth, so each chunk's
+        im2col and GEMM result buffers hold at most about ``_TILE`` float64
+        each."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((1, 3, 320, 320)).astype(np.float32)
+        p = ConvParams(rng.standard_normal((16, 3, 1, 1)).astype(np.float32))
+        cores(2)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2 * 2 * 8 * tensor._TILE
 
 
 def _thread_spy(monkeypatch):
