@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import selftest as selftest_mod
 from .archive import load_archive, save_archive
 from .losses import LossConfig
@@ -62,15 +64,18 @@ def _build_config(args) -> RunConfig:
 def _cmd_infer(args) -> int:
     cfg = _build_config(args)
     mode = "fused" if args.fused else "train" if args.train_mode else "auto"
-    result = run_infer(
-        cfg,
-        load_archive(args.weights),
-        args.image,
-        args.radar,
-        args.prompt,
-        args.out_dir,
-        mode=mode,
-    )
+    # An input that overflows inside the model ends in NonFiniteOutputError,
+    # so the numpy warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_infer(
+            cfg,
+            load_archive(args.weights),
+            args.image,
+            args.radar,
+            args.prompt,
+            args.out_dir,
+            mode=mode,
+        )
     print(f"{len(result.boxes)} boxes -> {result.boxes_path}")
     print(f"mask -> {result.mask_path}")
     return 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvParams, FeatureMap, ShapeError, conv2d, upsample
+from .tensor import ConvParams, FeatureMap, ShapeError, _upsample2_add, conv2d
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,10 +38,9 @@ def fpn_forward(stages: list[FeatureMap], p: FpnParams) -> list[FeatureMap]:
             raise ShapeError(
                 f"stage dims must halve level to level, got {a.shape[2:]} then {b.shape[2:]}"
             )
-    merged = conv2d(maps[3], p.lateral[3])
-    tops = [merged]
+    # Coarse to fine; each lateral conv output takes the coarser sum in place.
+    tops = [conv2d(maps[3], p.lateral[3])]
     for i in (2, 1, 0):
-        merged = conv2d(maps[i], p.lateral[i]) + upsample(merged, 2, "nearest")
-        tops.append(merged)
-    tops.reverse()
-    return [conv2d(t, p.smooth[i]) for i, t in enumerate(tops)]
+        tops.append(_upsample2_add(conv2d(maps[i], p.lateral[i]), tops[-1], in_place=True))
+    # Fine to coarse, each top-down map freed once its smooth conv has run.
+    return [conv2d(tops.pop(), sp) for sp in p.smooth]

@@ -302,13 +302,15 @@ def tmdf_fuse(
     if f_text.shape[1] < 3:
         raise ShapeError("text sequence is too short to pool (need length >= 3)")
 
+    # The conv outputs are new maps, so the sums run in place on them.
     img_p = conv2d(f_img, p.w_img)
-    rad_p = eca(conv2d(f_radar, p.w_radar), p.eca)
-    mixed = img_p + rad_p
-
-    q_map = deform_conv(mixed, p.deform) + p.lpe
+    img_p += eca(conv2d(f_radar, p.w_radar), p.eca)
+    q_map = deform_conv(img_p, p.deform)
+    del img_p
+    q_map += p.lpe
     n, _, h, w = q_map.shape
     q = flatten_spatial(q_map)
+    del q_map
 
     coded = (f_text + p.ape).astype(np.float64)
     t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]

@@ -24,7 +24,8 @@ from .tensor import (
     ConvParams,
     FeatureMap,
     ShapeError,
-    activation,
+    _activate,
+    _upsample2_add,
     batchnorm_inference,
     conv2d,
     upsample,
@@ -108,7 +109,7 @@ def rec_head_forward(
     always lies in the open interval.
     """
     heat = _branch(feat, p.conf, "sigmoid")
-    heat = np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7))
+    np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7), out=heat)
     if heat.shape[1] != 1:
         raise ShapeError(f"confidence branch must emit one channel, got {heat.shape[1]}")
     sizes = _branch(feat, p.wh)
@@ -324,9 +325,12 @@ def res_head_forward(
             )
     d = conv2d(maps[3], p.entry)
     for finer, block in zip((maps[2], maps[1], maps[0]), p.blocks):
-        merged = activation(msrep_forward(d, block) + d, "relu")
-        d = finer + upsample(merged, 2, "nearest")
+        merged = msrep_forward(d, block)  # a new map, so the glue runs in place
+        merged += d
+        _activate(merged, "relu", merged)
+        d = _upsample2_add(finer, merged)
     logits = conv2d(d, p.proj)
+    del d  # the finest merged map is not held through the upsample
     if logits.shape[1] != 1:
         raise ShapeError(f"mask projection must emit one channel, got {logits.shape[1]}")
     if image_size % logits.shape[2] != 0:

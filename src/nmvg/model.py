@@ -466,6 +466,7 @@ class Model:
         img_stages = image_encoder(image, self.image_p)
         rad_stages = radar_encoder(radar, self.radar_p)
         text = text_encoder(tokens, self.text_p)  # (E, L)
+        # Each map is dropped after its last reader, so only live maps are held.
         fused_stages = []
         for i in range(4):
             weight, bias = self.adapters[i]
@@ -482,16 +483,15 @@ class Model:
                     normalize=cfg.attention_normalize,
                 )
             )
+            img_stages[i] = rad_stages[i] = None
         pyramid = fpn_forward(fused_stages, self.fpn_p)
-        routed = [
-            enmoe_forward(level, self.enmoe_p[i])
-            if min(level.shape[2:]) >= MIN_EXTENT
-            else level
-            for i, level in enumerate(pyramid)
-        ]
-        feat = routed[cfg.head_scale - 2]
-        heat, sizes, offsets = rec_head_forward(feat, self.rec_p)
-        logits, masks = res_head_forward(routed, self.res_p, cfg.input_size, cfg.mask_thresh)
+        del fused_stages
+        # ENMoE routes each level in place in the list, freeing the level it replaces.
+        for i in range(4):
+            if min(pyramid[i].shape[2:]) >= MIN_EXTENT:
+                pyramid[i] = enmoe_forward(pyramid[i], self.enmoe_p[i])
+        heat, sizes, offsets = rec_head_forward(pyramid[cfg.head_scale - 2], self.rec_p)
+        logits, masks = res_head_forward(pyramid, self.res_p, cfg.input_size, cfg.mask_thresh)
         for name, a in (("heatmap", heat), ("sizes", sizes), ("offsets", offsets), ("mask_logits", logits)):
             if not np.isfinite(a).all():
                 raise NonFiniteOutputError(f"forward output {name} holds non-finite values")

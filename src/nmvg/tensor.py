@@ -2,8 +2,8 @@
 pooling, resampling and edge extraction.
 
 The in-memory currency of the whole runtime is a float32 numpy array laid
-out row-major as (batch, channel, row, col).  Every function here is pure:
-inputs are never mutated and outputs are freshly allocated.  Convolutions
+out row-major as (batch, channel, row, col).  Every public function here is
+pure: inputs are never mutated and outputs are freshly allocated.  Convolutions
 read their zero-padded input as stride-phase planes (``_planes``: plane
 (a, b) holds padded rows a::stride and columns b::stride) and take one of
 two paths: depthwise kernels shift-and-accumulate their taps, each tap
@@ -26,8 +26,10 @@ Threading: ``_map_tiles`` splits a conv's tiles into one contiguous chunk
 per core the process may run on; the calling thread runs the first chunk
 and a module-level pool of cores - 1 threads the others, while numpy
 releases the GIL inside each copy, ufunc and matmul.  The calling thread
-allocates every chunk's buffers.  Tiles, tap order and GEMM shapes do not
-depend on the split, so outputs are bitwise the same on any core count.
+allocates every chunk's buffers, and each pool chunk runs in a copy of
+the caller's context, so the caller's ``np.errstate`` holds there too.
+Tiles, tap order and GEMM shapes do not depend on the split, so outputs
+are bitwise the same on any core count.
 The pool (and ``concurrent.futures``) is made by the first conv that
 spans two chunks, and made again by a forked child's first such conv.
 With more than one core, importing this module puts numpy's bundled
@@ -38,6 +40,7 @@ cores only.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 import threading
@@ -399,15 +402,16 @@ def _contract_rows(
     output rows r0:r1 into a view of a buffer of about ``_TILE`` elements.
     Each block is contracted with the kernel as
     (groups, C_out/groups, C_in/groups*k_h*k_w) in one batched float64
-    matmul into a reused result buffer, which the larger of depth and
-    C_out keeps near ``_TILE`` elements too, gets the bias added in
-    float64, and is rounded into its rows of ``out``, which ``finish``
-    (see ``_epilogue``) then finishes in place.
+    matmul into a reused result buffer, gets the bias added in float64,
+    and is rounded into its rows of ``out``, which ``finish`` (see
+    ``_epilogue``) then finishes in place.  A block holds depth + C_out
+    float64 values per output pixel (its columns and its result), so
+    sizing blocks by that sum keeps a tile's whole work near ``_TILE``.
     """
     n, co, ho, wo = out.shape
     _, cg, kh, kw = p.kernel.shape
     depth = p.in_channels * kh * kw
-    rows = min(ho, max(1, _TILE // (n * max(depth, co) * wo)))
+    rows = min(ho, max(1, _TILE // (n * (depth + co) * wo)))
     k64 = p.kernel.astype(np.float64).reshape(p.groups, co // p.groups, cg * kh * kw)
     bias = None if p.bias is None else p.bias.astype(np.float64)[:, None]
 
@@ -453,7 +457,8 @@ def _map_tiles(tiles: list, make_tile: Callable[[], Callable]) -> None:
     """
     k = min(_CORES, len(tiles))
     jobs = [(make_tile(), tiles[len(tiles) * i // k : len(tiles) * (i + 1) // k]) for i in range(k)]
-    futures = [_pool().submit(_run_chunk, *job) for job in jobs[1:]]
+    # np.errstate is per context: a pool chunk runs in a copy of the caller's.
+    futures = [_pool().submit(contextvars.copy_context().run, _run_chunk, *job) for job in jobs[1:]]
     try:
         _run_chunk(*jobs[0])
     finally:
@@ -597,6 +602,10 @@ def _upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _upsample_bilinear(x: np.ndarray, factor: int) -> np.ndarray:
+    """Separable: each source row is interpolated along x once, then output
+    rows pick and blend two of those rows.  Every output takes the same
+    float32 steps as the four-corner form, top = tl * (1 - wx) + tr * wx,
+    bot likewise, top * (1 - wy) + bot * wy, so the bits are the same."""
     n, c, h, w = x.shape
     ho, wo = h * factor, w * factor
     # Half-pixel source coordinates, edge-clamped.
@@ -606,17 +615,29 @@ def _upsample_bilinear(x: np.ndarray, factor: int) -> np.ndarray:
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).astype(np.float32)
+    wy = (ys - y0).astype(np.float32)[:, None]
     wx = (xs - x0).astype(np.float32)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    tl = x[:, :, y0[:, None], x0[None, :]]
-    tr = x[:, :, y0[:, None], x1[None, :]]
-    bl = x[:, :, y1[:, None], x0[None, :]]
-    br = x[:, :, y1[:, None], x1[None, :]]
-    top = tl * (1 - wx) + tr * wx
-    bot = bl * (1 - wx) + br * wx
-    return (top * (1 - wy) + bot * wy).astype(np.float32)
+    rows = x[..., x0] * (1 - wx)
+    rows += x[..., x1] * wx
+    out = rows[:, :, y0]
+    out *= 1 - wy
+    bot = rows[:, :, y1]
+    bot *= wy
+    out += bot
+    return out
+
+
+def _upsample2_add(fine: np.ndarray, coarse: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """fine + upsample(coarse, 2, "nearest"), bit for bit, without making
+    the upsampled map: coarse (N, C, H, W) is repeated along columns only
+    (half the size of fine) and added to each pair of rows of fine
+    (N, C, 2H, 2W) through a broadcast view.  With ``in_place`` the sum is
+    written into fine when fine is contiguous (a conv output the caller
+    owns)."""
+    n, c, h, w = coarse.shape
+    pairs = fine.reshape(n, c, h, 2, 2 * w)
+    cols = np.repeat(coarse, 2, axis=3)[:, :, :, None]
+    return np.add(pairs, cols, out=pairs if in_place else None).reshape(n, c, 2 * h, 2 * w)
 
 
 def upsample(x: FeatureMap, factor: int, mode: str = "nearest") -> FeatureMap:

@@ -133,6 +133,30 @@ def upsample_bilinear_ref(x, factor):
     return out
 
 
+def upsample_bilinear_corners(x, factor):
+    """The four-corner float32 form of half-pixel bilinear upsampling: each
+    output blends its four gathered corners, top row then bottom, then the
+    two rows.  The separable form must equal it bit for bit."""
+    x = np.asarray(x, dtype=np.float32)
+    n, c, h, w = x.shape
+    ho, wo = h * factor, w * factor
+    ys = np.clip((np.arange(ho, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(wo, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0).astype(np.float32)[:, None]
+    wx = (xs - x0).astype(np.float32)[None, :]
+    tl = x[:, :, y0[:, None], x0[None, :]]
+    tr = x[:, :, y0[:, None], x1[None, :]]
+    bl = x[:, :, y1[:, None], x0[None, :]]
+    br = x[:, :, y1[:, None], x1[None, :]]
+    top = tl * (1 - wx) + tr * wx
+    bot = bl * (1 - wx) + br * wx
+    return top * (1 - wy) + bot * wy
+
+
 def gap_ref(x):
     x = np.asarray(x, dtype=np.float64)
     return x.mean(axis=(2, 3))
@@ -453,8 +477,18 @@ def _iou_ref(a, b):
 
 
 # ---------------------------------------------------------------------------
-# random parameter builders (shared by fusion / routing / head tests)
+# random parameter builders and read-only inputs (shared by layer tests)
 # ---------------------------------------------------------------------------
+
+
+def read_only(*arrays):
+    """Copies of ``arrays`` that raise on any write."""
+    out = []
+    for a in arrays:
+        a = np.array(a)
+        a.flags.writeable = False
+        out.append(a)
+    return out
 
 
 def rand_bn(rng, c):

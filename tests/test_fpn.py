@@ -3,7 +3,7 @@ import pytest
 
 from nmvg.fpn import FpnParams, fpn_forward
 from nmvg.tensor import ConvParams, ShapeError, conv2d, upsample
-from oracles import fpn_ref, rand_fpn
+from oracles import fpn_ref, rand_fpn, read_only
 
 
 def _stages(rng, channels=(4, 6, 8, 10), base=8):
@@ -90,6 +90,26 @@ class TestFpnForward:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-4)
 
+    def test_read_only_stages_give_the_out_of_place_result(self):
+        """The sums run in place on the lateral conv outputs, never on the
+        caller's stages, and match the glue that upsampled each coarser map."""
+        rng = np.random.default_rng(12)
+        stages = [
+            rng.standard_normal((2, c, 16 >> i, 16 >> i)).astype(np.float32)
+            for i, c in enumerate((4, 6, 8, 10))
+        ]
+        p = rand_fpn(rng, (4, 6, 8, 10), 5)
+        frozen = read_only(*stages)
+        got = fpn_forward(frozen, p)
+        merged = conv2d(stages[3], p.lateral[3])
+        tops = [merged]
+        for i in (2, 1, 0):
+            merged = conv2d(stages[i], p.lateral[i]) + upsample(merged, 2, "nearest")
+            tops.append(merged)
+        want = [conv2d(t, sp) for t, sp in zip(reversed(tops), p.smooth)]
+        assert all(np.array_equal(a, b) for a, b in zip(frozen, stages))
+        assert len(got) == 4 and all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_wrong_stage_count_rejected(self):
         rng = np.random.default_rng(6)
         p = rand_fpn(rng, (4, 6, 8, 10), 5)
@@ -119,3 +139,4 @@ class TestFpnForward:
         )
         with pytest.raises(ShapeError):
             FpnParams(lateral=laterals, smooth=smooths)
+

@@ -17,8 +17,8 @@ from nmvg.fusion import (
     unflatten_spatial,
 )
 from nmvg import tensor
-from nmvg.tensor import ConvParams, ShapeError, conv2d
-from oracles import deform_ref, eca_ref, rand_tmdf, sinusoid_ref, tmdf_ref
+from nmvg.tensor import ConvParams, ShapeError, conv2d, maxpool1d
+from oracles import deform_ref, eca_ref, rand_tmdf, read_only, sinusoid_ref, tmdf_ref
 
 
 class TestEca:
@@ -327,6 +327,30 @@ class TestTmdfFuse:
             got = tmdf_fuse(f_img, f_radar, f_text, p, normalize=normalize)
             want = tmdf_ref(f_img, f_radar, f_text, p, normalize=normalize)
             np.testing.assert_allclose(got, want, atol=2e-4)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_read_only_inputs_give_the_out_of_place_result(self, normalize):
+        """The sums run in place on the stage's own conv outputs, never on
+        the inputs or the positional grid, and match the old glue."""
+        rng = np.random.default_rng(310)
+        c, h, w, length = 4, 6, 5, 9
+        p = rand_tmdf(rng, c, h, w, length)
+        f_img = rng.standard_normal((2, c, h, w)).astype(np.float32)
+        f_radar = rng.standard_normal((2, c, h, w)).astype(np.float32)
+        f_text = rng.standard_normal((c, length)).astype(np.float32)
+        lpe = p.lpe.copy()
+        p.lpe.flags.writeable = False
+        frozen = read_only(f_img, f_radar, f_text)
+        got = tmdf_fuse(*frozen, p, normalize=normalize)
+        mixed = conv2d(f_img, p.w_img) + eca(conv2d(f_radar, p.w_radar), p.eca)
+        q = flatten_spatial(deform_conv(mixed, p.deform) + p.lpe)
+        coded = (f_text + p.ape).astype(np.float64)
+        t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
+        kv = maxpool1d(t.astype(np.float32))
+        want = unflatten_spatial(scaled_attend(q, kv, kv, p.d, normalize=normalize)[0], h, w)
+        assert all(np.array_equal(a, b) for a, b in zip(frozen, (f_img, f_radar, f_text)))
+        assert np.array_equal(p.lpe, lpe)
+        assert np.array_equal(got, want)
 
     def test_modality_symmetry_with_forced_gate(self):
         """Shared projection, gate pinned at 1: swapping which sensor

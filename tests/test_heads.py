@@ -20,8 +20,8 @@ from nmvg.heads import (
     rec_head_forward,
     res_head_forward,
 )
-from nmvg.tensor import ConvParams, ShapeError
-from oracles import decode_ref, rand_bn, rand_conv, rand_msrep
+from nmvg.tensor import ConvParams, ShapeError, activation, conv2d, upsample
+from oracles import decode_ref, rand_bn, rand_conv, rand_msrep, read_only
 
 
 class TestDetectionBox:
@@ -83,6 +83,26 @@ class TestRecHead:
         assert sizes.shape == (2, 2, 8, 8)
         assert offsets.shape == (2, 2, 8, 8)
         assert (heat > 0).all() and (heat < 1).all()
+
+    def test_read_only_feature_gives_the_out_of_place_result(self):
+        """The heatmap is clipped in place on the conf branch's own output."""
+        rng = np.random.default_rng(2)
+        p = RecHeadParams(
+            conf=_rand_branch(rng, 6, 1),
+            wh=_rand_branch(rng, 6, 2),
+            offset=_rand_branch(rng, 6, 2),
+        )
+        feat = rng.standard_normal((2, 6, 8, 8)).astype(np.float32)
+        (frozen,) = read_only(feat)
+        got = rec_head_forward(frozen, p)
+
+        def branch(bp, act=None):
+            x = conv2d(feat, bp.dw, bp.dw_bn, "relu")
+            return conv2d(conv2d(x, bp.pw, bp.pw_bn, "relu"), bp.proj, act=act)
+
+        heat = np.clip(branch(p.conf, "sigmoid"), np.float32(1e-7), np.float32(1.0 - 1e-7))
+        assert np.array_equal(frozen, feat)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (heat, branch(p.wh), branch(p.offset))))
 
     def test_wrong_branch_widths_rejected(self):
         rng = np.random.default_rng(1)
@@ -296,6 +316,27 @@ class TestResHead:
         fused = replace(p, blocks=tuple(msrep_fuse(b) for b in p.blocks))
         fused_logits, _ = res_head_forward(pyramid, fused, image_size=64)
         np.testing.assert_allclose(fused_logits, base_logits, atol=1e-4)
+
+    @pytest.mark.parametrize("mode", ["train", "fused"])
+    def test_read_only_pyramid_gives_the_out_of_place_result(self, mode):
+        """The residual add and ReLU run in place on each block's output and
+        the upsample-add makes a new map; the caller's levels are never
+        written, and the result equals the old out-of-place glue."""
+        rng = np.random.default_rng(43)
+        p = _res_params(rng, 4)
+        if mode == "fused":
+            p = replace(p, blocks=tuple(msrep_fuse(b) for b in p.blocks))
+        pyramid = [rng.standard_normal((2, 4, 16 >> i, 16 >> i)).astype(np.float32) for i in range(4)]
+        frozen = read_only(*pyramid)
+        logits, masks = res_head_forward(frozen, p, image_size=64, threshold=0.25)
+        d = conv2d(pyramid[3], p.entry)
+        for finer, block in zip((pyramid[2], pyramid[1], pyramid[0]), p.blocks):
+            merged = activation(msrep_forward(d, block) + d, "relu")
+            d = finer + upsample(merged, 2, "nearest")
+        want = upsample(conv2d(d, p.proj), 4, "bilinear")
+        assert all(np.array_equal(a, b) for a, b in zip(frozen, pyramid))
+        assert np.array_equal(logits, want)
+        assert all(np.array_equal(m.bitmap, want[i, 0] > np.float32(0.25)) for i, m in enumerate(masks))
 
     def test_wrong_level_count_rejected(self):
         rng = np.random.default_rng(43)

@@ -1,6 +1,9 @@
 import filecmp
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 from pathlib import Path
@@ -287,6 +290,27 @@ class TestForward:
         )
         assert out.heatmap.shape == (1, 1, 8, 8)
         assert out.downsample_ratio == 8
+
+    def test_frame640_peak_memory(self, cores):
+        """Only maps a later layer reads stay live through a 640 forward.  The
+        peak, outputs included, is ENMoE level 0 (its input, the expert map,
+        two gates and two chunks of tile work): under 5.5 level-0 maps, where
+        holding every stage to the end took 7.4."""
+        cfg = RunConfig(input_size=640)
+        model = Model.from_archive(cfg, generate_archive(cfg, 0))
+        rng = np.random.default_rng(5)
+        image = rng.random((1, 3, 640, 640), dtype=np.float32)
+        radar = rng.standard_normal((1, 3, 640, 640)).astype(np.float32)
+        tokens = tokenize("a red buoy near the small boat", list(DEFAULT_VOCAB), cfg.text_len)
+        cores(2)
+        tracemalloc.start()
+        try:
+            model.forward(image, radar, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        level0 = 64 * 160 * 160 * np.dtype(np.float32).itemsize
+        assert peak <= 5.5 * level0
 
     @pytest.mark.parametrize("which", ["image", "radar"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -610,6 +634,20 @@ class TestCli:
         assert "output heatmap holds non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "out" / "boxes.txt").exists()
         assert not (tmp_path / "out" / "mask.pgm").exists()
+
+    def test_infer_overflowing_radar_prints_only_the_error(self, fixture_dir, tmp_path):
+        """In a fresh interpreter, where numpy's overflow warnings would print
+        (some from pool threads), stderr holds the error line alone."""
+        radar = _scaled_radar(fixture_dir, tmp_path, 1e20)
+        config = str(fixture_dir / "run.cfg")
+        argv = _infer_argv(fixture_dir, tmp_path / "out", "--config", config, "--radar", str(radar))
+        code = "import sys; from nmvg.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(model_mod.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["error: forward output heatmap holds non-finite values"]
 
     @pytest.mark.parametrize("flag", ["--image", "--radar"])
     def test_infer_rejected_raster_exits_two(self, fixture_dir, tmp_path, capsys, flag):

@@ -35,10 +35,12 @@ from oracles import (
     conv2d_ref,
     gap_ref,
     maxpool1d_ref,
+    read_only,
     sigmoid_ref,
     sigmoid_where,
     silu_ref,
     sobel_ref,
+    upsample_bilinear_corners,
     upsample_bilinear_ref,
     upsample_nearest_ref,
 )
@@ -121,13 +123,13 @@ def _ragged_tile(n, cin, cout, groups, k, stride, ho, wo):
     """A ``_TILE`` that splits a conv into blocks of r output rows, r >= 2 not
     dividing ho, so the last block is ragged.  Depthwise blocks hold one
     channel (accumulator, tap product and phase planes per row), or two
-    channels of a one-row map; dense blocks are sized by the larger of
-    the im2col depth and C_out."""
+    channels of a one-row map; dense blocks are sized by the im2col depth
+    plus C_out."""
     r = next(r for r in range(2, ho + 2) if ho % r)
     if groups == cin:
         wq = wo + (k - 1) // stride
         return r * n * wq * (2 * (cout // cin) + stride**2)
-    return r * n * max(cin * k * k, cout) * wo
+    return r * n * (cin * k * k + cout) * wo
 
 
 class TestConvTiles:
@@ -365,6 +367,20 @@ class TestCorePool:
         with pytest.raises(KeyError):
             tensor._map_tiles(list(range(6)), make_tile)
         assert sorted(done) == [t for t in range(6) if t // 2 != failing]
+
+    def test_pool_chunks_run_in_the_callers_error_state(self, monkeypatch, cores):
+        """Two chunks of a dense 1x1 conv; only the second (rows 4-7), which
+        a pool thread runs, overflows when rounded to float32.  np.errstate
+        is per context, so that thread must run in a copy of the caller's."""
+        cores(2)
+        monkeypatch.setattr(tensor, "_TILE", 8)  # tiles of one or two rows
+        x = np.ones((1, 1, 8, 4), dtype=np.float32)
+        p = ConvParams(np.full((1, 1, 1, 1), 10.0, dtype=np.float32))
+        with np.errstate(over="raise"):
+            assert np.array_equal(conv2d(x, p), np.full(x.shape, 10.0, dtype=np.float32))
+            x[:, :, 4:] = 3e38
+            with pytest.raises(FloatingPointError):
+                conv2d(x, p)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_a_working_pool(self, monkeypatch, cores):
@@ -807,6 +823,30 @@ class TestUpsample:
             np.testing.assert_allclose(
                 upsample(x, factor, "bilinear"), upsample_bilinear_ref(x, factor), atol=1e-5
             )
+
+    @pytest.mark.parametrize("factor", [2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_separable_bilinear_equals_four_corner_form(self, n, factor):
+        """Three channels on a non-square 5x7 map, with magnitudes from 1e-30
+        to 1e30 so any change in the float32 steps shows."""
+        rng = np.random.default_rng(100 * n + factor)
+        x = (rng.standard_normal((n, 3, 5, 7)) * 10.0 ** rng.integers(-30, 31, (n, 3, 5, 7)))
+        x = x.astype(np.float32)
+        assert np.array_equal(upsample(x, factor, "bilinear"), upsample_bilinear_corners(x, factor))
+
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_read_only_input_left_as_it_was(self, mode):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3, 4, 6)).astype(np.float32)
+        (frozen,) = read_only(x)
+        got = upsample(frozen, 2, mode)
+        want = (
+            np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+            if mode == "nearest"
+            else upsample_bilinear_corners(x, 2)
+        )
+        assert np.array_equal(frozen, x)
+        assert np.array_equal(got, want)
 
     def test_bad_factor_and_mode_rejected(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
