@@ -67,16 +67,25 @@ def enmoe_forward(f: FeatureMap, p: EnMoeParams) -> FeatureMap:
         raise ShapeError(
             f"spatial dims {f.shape[2:]} are below the {MIN_EXTENT}x{MIN_EXTENT} minimum"
         )
-    # Each expert map is dropped as soon as its gate is made.
-    gate_edge = conv2d(conv2d(sobel(f), p.edge_conv, p.edge_bn, "silu"), p.gate_high, act="sigmoid")
-    gate_local = conv2d(conv2d(f, p.nbr_conv, p.nbr_bn, "silu"), p.gate_low, act="sigmoid")
-    base = conv2d(f, p.w_o)
-    t1 = float(_sigmoid(np.array(p.theta1_raw, dtype=np.float64)))
-    t2 = float(_sigmoid(np.array(p.theta2_raw, dtype=np.float64)))
-    gate_edge *= np.float32(t1)
-    gate_edge *= base
-    gate_local *= np.float32(t2)
-    gate_local *= base
-    gate_edge += gate_local
-    gate_edge += f
+    # Each 1x1 conv writes over the map it reads, which nothing reads later,
+    # and base is blended into gate_edge one tile at a time, so neither base
+    # nor a second gate-sized map is ever made.
+    gate_edge = sobel(f)
+    conv2d(gate_edge, p.edge_conv, p.edge_bn, "silu", out=gate_edge)
+    conv2d(gate_edge, p.gate_high, act="sigmoid", out=gate_edge)
+    gate_local = conv2d(f, p.nbr_conv, p.nbr_bn, "silu")
+    conv2d(gate_local, p.gate_low, act="sigmoid", out=gate_local)
+    t1 = np.float32(_sigmoid(np.array(p.theta1_raw, dtype=np.float64)))
+    t2 = np.float32(_sigmoid(np.array(p.theta2_raw, dtype=np.float64)))
+
+    def blend(base, cs, rs):
+        edge, local = gate_edge[:, cs, rs], gate_local[:, cs, rs]
+        edge *= t1
+        edge *= base
+        local *= t2
+        local *= base
+        edge += local
+        edge += f[:, cs, rs]
+
+    conv2d(f, p.w_o, hook=blend)
     return gate_edge

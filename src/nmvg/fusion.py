@@ -33,6 +33,7 @@ from .tensor import (
     FeatureMap,
     ShapeError,
     _contract_rows,
+    _emitter,
     _sigmoid,
     conv2d,
     global_avg_pool,
@@ -159,7 +160,7 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
         return fill
 
     out = np.empty((n, co, ho, wo), dtype=np.float32)
-    _contract_rows(out, main, make_fill)
+    _contract_rows(out.shape, main, make_fill, _emitter(out, co))
     return out
 
 

@@ -96,7 +96,7 @@ class RecHeadParams:
 
 def _branch(x: FeatureMap, bp: BranchParams, act: ActivationKind | None = None) -> FeatureMap:
     x = conv2d(x, bp.dw, bp.dw_bn, "relu")
-    x = conv2d(x, bp.pw, bp.pw_bn, "relu")
+    conv2d(x, bp.pw, bp.pw_bn, "relu", out=x)  # over the depthwise map, read by nothing else
     return conv2d(x, bp.proj, act=act)
 
 

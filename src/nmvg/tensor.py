@@ -3,7 +3,11 @@ pooling, resampling and edge extraction.
 
 The in-memory currency of the whole runtime is a float32 numpy array laid
 out row-major as (batch, channel, row, col).  Every public function here is
-pure: inputs are never mutated and outputs are freshly allocated.  Convolutions
+pure, inputs never mutated and outputs freshly allocated, except where a
+``conv2d`` caller asks otherwise: ``out=`` names the array its tiles are
+written into (the conv's own input for a 1x1 conv that keeps its channel
+count), and ``hook=`` hands each finished tile to the caller instead of
+any output.  Convolutions
 read their zero-padded input as stride-phase planes (``_planes``: plane
 (a, b) holds padded rows a::stride and columns b::stride) and take one of
 two paths: depthwise kernels shift-and-accumulate their taps, each tap
@@ -20,7 +24,8 @@ as a whole; each tile is rounded straight into its slice of the output.
 batchnorm and an activation while it is still in cache, in the tile's own
 free work buffer, using the same in-place helpers (``_normalize``,
 ``_activate``) as ``batchnorm_inference`` and ``activation``, so the fused
-result equals the separate passes bit for bit.
+result equals the separate passes bit for bit.  A tile hook runs after
+that epilogue, on the tile's core.
 
 Threading: ``_map_tiles`` splits a conv's tiles into one contiguous chunk
 per core the process may run on; the calling thread runs the first chunk
@@ -60,6 +65,9 @@ _KINDS = get_args(ActivationKind)
 # float64 elements (batch axis included) in the work buffer a conv reuses
 # from tile to tile: 2 MB, which stays in a core's L2 cache.
 _TILE = 1 << 18
+# A ufunc pass over a block of a map runs about 3x slower per element when
+# the block's run per channel (rows * W_out) is under this many elements.
+_RUN = 2048
 
 # A conv splits its tiles into one chunk per core: the calling thread runs
 # the first and the _CORES - 1 threads of _pool() the others.
@@ -227,9 +235,19 @@ class BNParams:
         return self.gamma.shape[0]
 
 
+# hook(y, channels, rows): a finished float32 tile of a conv's output.
+TileHook = Callable[[np.ndarray, slice, slice], None]
+
+
 def conv2d(
-    x: FeatureMap, p: ConvParams, bn: BNParams | None = None, act: ActivationKind | None = None
-) -> FeatureMap:
+    x: FeatureMap,
+    p: ConvParams,
+    bn: BNParams | None = None,
+    act: ActivationKind | None = None,
+    *,
+    out: np.ndarray | None = None,
+    hook: TileHook | None = None,
+) -> FeatureMap | None:
     """Grouped 2-D cross-correlation with zero padding, optionally finished
     by batchnorm ``bn`` and then activation ``act``.
 
@@ -246,6 +264,17 @@ def conv2d(
     Each block then gets ``bn`` and ``act`` in place while it is still in
     cache, which equals ``activation(batchnorm_inference(conv2d(x, p), bn),
     act)`` bit for bit.
+
+    ``out``, a writeable float32 array of the output's shape, receives the
+    result instead of a new array.  It may be ``x`` itself only for a 1x1,
+    stride-1, unpadded conv with C_out == C_in: every tile copies the
+    pixels it reads into its float64 work before it rounds into that same
+    window, and no two tiles share a window.  With ``hook`` no output is
+    made and None is returned: each finished tile is rounded into a float32
+    buffer of its chunk, gets ``bn`` and ``act`` there, and is handed to
+    ``hook(y, channels, rows)`` (slices of the output's channel and row
+    axes), which writes it wherever it belongs, on the tile's core.  Every
+    argument is checked before any tile runs.
     """
     x = _as_f32(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -254,7 +283,6 @@ def conv2d(
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernel expects {p.in_channels}")
     co, cg, kh, kw = p.kernel.shape
-    finish = None if bn is None and act is None else _epilogue(bn, act, co)
     if h + 2 * p.padding < kh or w + 2 * p.padding < kw:
         raise ShapeError(
             f"spatial dims {(h, w)} too small for kernel {(kh, kw)} at padding {p.padding}"
@@ -262,9 +290,10 @@ def conv2d(
     s = p.stride
     ho = (h + 2 * p.padding - kh) // s + 1
     wo = (w + 2 * p.padding - kw) // s + 1
+    out = _conv_out(x, p, (n, co, ho, wo), out, hook)
+    make_emit = _emitter(out, co, bn, act, hook)
     # Plane columns: the output columns plus the spare ones a tap reads.
     wq = wo + (kw - 1) // s
-    out = np.empty((n, co, ho, wo), dtype=np.float32)
     if p.groups != c:
         # A block of about _TILE plane elements serves every column tile in
         # it, so the rows a tap reads beyond a tile are built once a block.
@@ -289,7 +318,7 @@ def conv2d(
 
             return fill
 
-        _contract_rows(out, p, make_fill, finish)
+        _contract_rows((n, co, ho, wo), p, make_fill, make_emit)
         return out
     m = co // c
     k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1)
@@ -305,6 +334,7 @@ def conv2d(
     def make_tile():
         acc_buf, prod_buf = np.empty((2, n * block * m * rows * wq))
         buf = _plane_buffer(x[:, :block], p, rows, np.float64)
+        emit = make_emit(n * block * m * rows * wo)
 
         def tile(at):
             c0, r0 = at
@@ -324,13 +354,36 @@ def conv2d(
             if bias is not None:
                 acc += bias[c0:c1]
             block_out = acc.reshape(n, (c1 - c0) * m, r1 - r0, wq)
-            out[:, c0 * m : c1 * m, r0:r1] = block_out[..., :wo]
-            if finish is not None:
-                finish(out[:, c0 * m : c1 * m, r0:r1], c0 * m, c1 * m, prod_buf.view(np.float32))
+            emit(block_out[..., :wo], c0 * m, c1 * m, r0, prod_buf.view(np.float32))
 
         return tile
 
     _map_tiles([(c0, r0) for c0 in range(0, c, block) for r0 in range(0, ho, rows)], make_tile)
+    return out
+
+
+def _conv_out(x: np.ndarray, p: ConvParams, shape: tuple, out, hook) -> np.ndarray | None:
+    """The float32 array conv ``p`` of ``x`` writes into: ``out`` once it
+    is checked, a new one, or None for a conv with a ``hook``."""
+    if hook is not None:
+        if out is not None:
+            raise ValueError("conv2d takes out= or hook=, not both")
+        return None
+    if out is None:
+        return np.empty(shape, dtype=np.float32)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float32:
+        raise ValueError(f"conv out must be a float32 array, got {getattr(out, 'dtype', type(out))}")
+    if out.shape != shape:
+        raise ShapeError(f"conv out has shape {out.shape}, the conv makes {shape}")
+    if not out.flags.writeable:
+        raise ValueError("conv out is read-only")
+    if np.may_share_memory(out, x):
+        _, _, kh, kw = p.kernel.shape
+        if out is not x or kh != 1 or kw != 1 or p.stride != 1 or p.padding != 0 or shape[1] != x.shape[1]:
+            raise ValueError(
+                "conv out may overlap the input only as the input itself, "
+                "for a 1x1 stride-1 unpadded conv with as many output channels as input channels"
+            )
     return out
 
 
@@ -387,13 +440,13 @@ def _planes(x: np.ndarray, p: ConvParams, r0: int, r1: int, buf: np.ndarray) -> 
 
 
 def _contract_rows(
-    out: np.ndarray,
+    shape: tuple[int, int, int, int],
     p: ConvParams,
     make_fill: Callable[[int], Callable[[np.ndarray, int, int], None]],
-    finish: Callable | None = None,
+    make_emit: Callable[[int], Callable],
 ) -> None:
-    """Write the float32 result of conv ``p`` into ``out`` (N, C_out, H_out,
-    W_out), one block of output rows at a time.
+    """Compute conv ``p``'s output of ``shape`` (N, C_out, H_out, W_out) one
+    block of output rows at a time.
 
     ``make_fill(rows)`` returns a ``fill(cols, r0, r1)`` for blocks of at
     most ``rows`` rows; it is called once per chunk of blocks, on the
@@ -403,15 +456,23 @@ def _contract_rows(
     Each block is contracted with the kernel as
     (groups, C_out/groups, C_in/groups*k_h*k_w) in one batched float64
     matmul into a reused result buffer, gets the bias added in float64,
-    and is rounded into its rows of ``out``, which ``finish`` (see
-    ``_epilogue``) then finishes in place.  A block holds depth + C_out
-    float64 values per output pixel (its columns and its result), so
-    sizing blocks by that sum keeps a tile's whole work near ``_TILE``.
+    and goes to the chunk's ``emit`` (see ``_emitter``).  A block holds
+    depth + C_out float64 values per output pixel (its columns and its
+    result), so sizing blocks by that sum keeps a tile's whole work near
+    ``_TILE``; a block grows to a run of ``_RUN`` per channel when that
+    costs at most a tenth more.  The blocks are then balanced,
+    ceil(H_out / blocks) rows each, so a chunk never sizes its buffers for
+    rows that a short last block leaves unused.
     """
-    n, co, ho, wo = out.shape
+    n, co, ho, wo = shape
     _, cg, kh, kw = p.kernel.shape
     depth = p.in_channels * kh * kw
-    rows = min(ho, max(1, _TILE // (n * (depth + co) * wo)))
+    per_row = n * (depth + co) * wo
+    rows = min(ho, max(1, _TILE // per_row))
+    run = min(ho, -(-_RUN // wo))
+    if rows < run and run * per_row <= _TILE + _TILE // 10:
+        rows = run
+    rows = -(-ho // -(-ho // rows))
     k64 = p.kernel.astype(np.float64).reshape(p.groups, co // p.groups, cg * kh * kw)
     bias = None if p.bias is None else p.bias.astype(np.float64)[:, None]
 
@@ -419,6 +480,7 @@ def _contract_rows(
         buf = np.empty(n * depth * rows * wo)
         res_buf = np.empty(n * co * rows * wo)
         fill = make_fill(rows)
+        emit = make_emit(n * co * rows * wo)
 
         def tile(r0):
             r1 = min(r0 + rows, ho)
@@ -433,9 +495,7 @@ def _contract_rows(
             block = res.reshape(n, co, -1)
             if bias is not None:
                 block += bias
-            out[:, :, r0:r1] = block.reshape(n, co, r1 - r0, wo)
-            if finish is not None:
-                finish(out[:, :, r0:r1], 0, co, res_buf.view(np.float32))
+            emit(block.reshape(n, co, r1 - r0, wo), 0, co, r0, res_buf.view(np.float32))
 
         return tile
 
@@ -473,24 +533,46 @@ def _run_chunk(tile: Callable, chunk: list) -> None:
         tile(t)
 
 
-def _epilogue(bn: BNParams | None, act: ActivationKind | None, channels: int) -> Callable:
-    """Check a conv's epilogue and return ``finish(y, c0, c1, scratch)``,
-    which applies ``bn`` over channels c0:c1 and then ``act`` to the
-    float32 output block y in place.  ``scratch`` is float32 with at least
-    2 * y.size elements (the block's free float64 work buffer, viewed)."""
+def _emitter(
+    out: np.ndarray | None,
+    channels: int,
+    bn: BNParams | None = None,
+    act: ActivationKind | None = None,
+    hook: TileHook | None = None,
+) -> Callable[[int], Callable]:
+    """Check a conv's epilogue and return ``make_emit(size)``, which a chunk
+    calls on the calling thread for its ``emit(block, c0, c1, r0,
+    scratch)``.
+
+    emit rounds the float64 block (N, c1 - c0, rows, W_out) of output
+    channels c0:c1 and rows r0: into ``out``, or, with a ``hook``, into a
+    float32 buffer of ``size`` elements the chunk owns.  It then applies
+    ``bn`` and ``act`` to that float32 block y in place and hands y to
+    ``hook``.  ``scratch`` is float32 with at least 2 * y.size elements
+    (the block's free float64 work buffer, viewed)."""
     if act is not None and act not in _KINDS:
         raise ValueError(f"unknown activation kind: {act!r}")
     if bn is not None and bn.channels != channels:
         raise ShapeError(f"conv has {channels} output channels, batchnorm expects {bn.channels}")
     terms = None if bn is None else _bn_terms(bn)
 
-    def finish(y, c0, c1, scratch):
-        if terms is not None:
-            _normalize(y, [t[c0:c1] for t in terms], out=y)
-        if act is not None:
-            _activate(y, act, y, scratch)
+    def make_emit(size):
+        own = None if hook is None else np.empty(size, dtype=np.float32)
 
-    return finish
+        def emit(block, c0, c1, r0, scratch):
+            r1 = r0 + block.shape[2]
+            y = out[:, c0:c1, r0:r1] if own is None else own[: block.size].reshape(block.shape)
+            y[...] = block
+            if terms is not None:
+                _normalize(y, [t[c0:c1] for t in terms], out=y)
+            if act is not None:
+                _activate(y, act, y, scratch)
+            if hook is not None:
+                hook(y, slice(c0, c1), slice(r0, r1))
+
+        return emit
+
+    return make_emit
 
 
 def _bn_terms(p: BNParams) -> list[np.ndarray]:

@@ -3,7 +3,10 @@
 Everything here is written the slow, obvious way (nested loops, per-pixel
 arithmetic, one formula per line) and deliberately shares no code with
 the package beyond parameter containers.  Tests trust these before
-trusting the fast paths.
+trusting the fast paths.  The one exception is the out-of-place
+compositions at the end: they rebuild layers that write maps over each
+other from the package's public ops, one fresh array per step, as the
+bit-for-bit reference for the in-place forms.
 """
 
 from __future__ import annotations
@@ -571,3 +574,44 @@ def rand_msrep(rng, c):
         bn1=rand_bn(rng, c),
         bn_id=rand_bn(rng, c),
     )
+
+
+# ---------------------------------------------------------------------------
+# out-of-place compositions
+# ---------------------------------------------------------------------------
+
+
+def conv_steps(x, p, bn=None, act=None):
+    """conv2d, then batchnorm, then the activation, each a fresh array."""
+    from nmvg.tensor import activation, batchnorm_inference, conv2d
+
+    y = conv2d(x, p)
+    if bn is not None:
+        y = batchnorm_inference(y, bn)
+    return y if act is None else activation(y, act)
+
+
+def enmoe_steps(f, p):
+    """The expert routing with every map kept: both experts, both gates and
+    the whole 1x1 projection, blended in the runtime's float32 order."""
+    from nmvg.tensor import sobel
+
+    gate_edge = conv_steps(conv_steps(sobel(f), p.edge_conv, p.edge_bn, "silu"), p.gate_high, act="sigmoid")
+    gate_local = conv_steps(conv_steps(f, p.nbr_conv, p.nbr_bn, "silu"), p.gate_low, act="sigmoid")
+    base = conv_steps(f, p.w_o)
+    t1 = np.float32(sigmoid_where(np.float64(p.theta1_raw)))
+    t2 = np.float32(sigmoid_where(np.float64(p.theta2_raw)))
+    return (gate_edge * t1 * base + gate_local * t2 * base) + f
+
+
+def rec_branch_steps(x, bp, act=None):
+    x = conv_steps(x, bp.dw, bp.dw_bn, "relu")
+    x = conv_steps(x, bp.pw, bp.pw_bn, "relu")
+    return conv_steps(x, bp.proj, act=act)
+
+
+def rec_head_steps(feat, p):
+    """(heatmap, sizes, offsets) with each branch's maps kept apart."""
+    heat = rec_branch_steps(feat, p.conf, "sigmoid")
+    heat = np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7))
+    return heat, rec_branch_steps(feat, p.wh), rec_branch_steps(feat, p.offset)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from nmvg.heads import (
     res_head_forward,
 )
 from nmvg.tensor import ConvParams, ShapeError, activation, conv2d, upsample
-from oracles import decode_ref, rand_bn, rand_conv, rand_msrep, read_only
+from oracles import decode_ref, rand_bn, rand_conv, rand_msrep, read_only, rec_head_steps
 
 
 class TestDetectionBox:
@@ -85,7 +86,10 @@ class TestRecHead:
         assert (heat > 0).all() and (heat < 1).all()
 
     def test_read_only_feature_gives_the_out_of_place_result(self):
-        """The heatmap is clipped in place on the conf branch's own output."""
+        """Each branch's pointwise conv writes over its depthwise map and the
+        heatmap is clipped in place, on maps the head made: a read-only
+        feature is left alone and the outputs equal the out-of-place
+        composition bit for bit."""
         rng = np.random.default_rng(2)
         p = RecHeadParams(
             conf=_rand_branch(rng, 6, 1),
@@ -95,14 +99,30 @@ class TestRecHead:
         feat = rng.standard_normal((2, 6, 8, 8)).astype(np.float32)
         (frozen,) = read_only(feat)
         got = rec_head_forward(frozen, p)
-
-        def branch(bp, act=None):
-            x = conv2d(feat, bp.dw, bp.dw_bn, "relu")
-            return conv2d(conv2d(x, bp.pw, bp.pw_bn, "relu"), bp.proj, act=act)
-
-        heat = np.clip(branch(p.conf, "sigmoid"), np.float32(1e-7), np.float32(1.0 - 1e-7))
         assert np.array_equal(frozen, feat)
-        assert all(np.array_equal(a, b) for a, b in zip(got, (heat, branch(p.wh), branch(p.offset))))
+        for a, b in zip(got, rec_head_steps(feat, p)):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+    def test_frame640_peak_memory(self, cores):
+        """No branch holds its pointwise map beside its depthwise map: with
+        its outputs, a 640 rec head peaks under two of its input maps (2.68
+        while the pointwise conv made a map of its own)."""
+        rng = np.random.default_rng(3)
+        p = RecHeadParams(
+            conf=_rand_branch(rng, 64, 1),
+            wh=_rand_branch(rng, 64, 2),
+            offset=_rand_branch(rng, 64, 2),
+        )
+        feat = rng.standard_normal((1, 64, 160, 160)).astype(np.float32)
+        cores(2)
+        tracemalloc.start()
+        try:
+            outs = rec_head_forward(feat, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outs) == 3
+        assert peak <= 2.0 * feat.nbytes
 
     def test_wrong_branch_widths_rejected(self):
         rng = np.random.default_rng(1)

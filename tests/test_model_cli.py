@@ -292,10 +292,11 @@ class TestForward:
         assert out.downsample_ratio == 8
 
     def test_frame640_peak_memory(self, cores):
-        """Only maps a later layer reads stay live through a 640 forward.  The
-        peak, outputs included, is ENMoE level 0 (its input, the expert map,
-        two gates and two chunks of tile work): under 5.5 level-0 maps, where
-        holding every stage to the end took 7.4."""
+        """Only maps a later layer reads stay live through a 640 forward, and
+        ENMoE and the rec head write their 1x1 convs over their own inputs.
+        The peak, outputs included, is ENMoE level 0 (its input, both gates
+        and two chunks of tile work): under 4.25 level-0 maps, where holding
+        every stage to the end took 7.4 and a whole projection map 4.96."""
         cfg = RunConfig(input_size=640)
         model = Model.from_archive(cfg, generate_archive(cfg, 0))
         rng = np.random.default_rng(5)
@@ -310,7 +311,30 @@ class TestForward:
         finally:
             tracemalloc.stop()
         level0 = 64 * 160 * 160 * np.dtype(np.float32).itemsize
-        assert peak <= 5.5 * level0
+        assert peak <= 4.25 * level0
+
+    def test_64_forward_keeps_every_conv_off_the_pool(self, monkeypatch, cores, small_archive):
+        """At 64 every conv is one tile, so none is split into chunks: a
+        pool dispatch would cost more than a conv that small saves."""
+        from nmvg import tensor
+
+        model = Model.from_archive(SMALL, small_archive)
+        rng = np.random.default_rng(4)
+        cores(2)
+        tiles = []
+        map_tiles = tensor._map_tiles
+
+        def spy(ts, make_tile):
+            tiles.append(len(ts))
+            map_tiles(ts, make_tile)
+
+        monkeypatch.setattr(tensor, "_map_tiles", spy)
+        model.forward(
+            rng.random((1, 3, 64, 64), dtype=np.float32),
+            rng.standard_normal((1, 3, 64, 64)).astype(np.float32),
+            tokenize("a red buoy near the small boat", list(DEFAULT_VOCAB), SMALL.text_len),
+        )
+        assert len(tiles) > 50 and set(tiles) == {1}
 
     @pytest.mark.parametrize("which", ["image", "radar"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -33,6 +33,7 @@ from oracles import (
     bn_expr,
     bn_ref,
     conv2d_ref,
+    conv_steps,
     gap_ref,
     maxpool1d_ref,
     read_only,
@@ -124,11 +125,13 @@ def _ragged_tile(n, cin, cout, groups, k, stride, ho, wo):
     dividing ho, so the last block is ragged.  Depthwise blocks hold one
     channel (accumulator, tap product and phase planes per row), or two
     channels of a one-row map; dense blocks are sized by the im2col depth
-    plus C_out."""
-    r = next(r for r in range(2, ho + 2) if ho % r)
+    plus C_out and then balanced to ceil(ho / blocks) rows, so r is the
+    first balanced block size that does not divide ho."""
     if groups == cin:
+        r = next(r for r in range(2, ho + 2) if ho % r)
         wq = wo + (k - 1) // stride
         return r * n * wq * (2 * (cout // cin) + stride**2)
+    r = next(r for r in range(2, ho) if ho % r and r == -(-ho // -(-ho // r)))
     return r * n * (cin * k * k + cout) * wo
 
 
@@ -185,7 +188,7 @@ class TestConvTiles:
                 tiles.append(xb.shape[1] * (r1 - r0))
             return planes(xb, conv, r0, r1, buf)
 
-        def contract_spy(out, conv, make_fill, *rest):
+        def contract_spy(shape, conv, make_fill, *rest):
             def make_fill_spy(rows):
                 fill = make_fill(rows)
 
@@ -195,7 +198,7 @@ class TestConvTiles:
 
                 return fill_spy
 
-            contract(out, conv, make_fill_spy, *rest)
+            contract(shape, conv, make_fill_spy, *rest)
 
         def no_pad(*args, **kwargs):
             raise AssertionError("conv2d padded its whole input")
@@ -215,6 +218,29 @@ class TestConvTiles:
         np.testing.assert_allclose(tiled, ref, atol=1e-5)
         assert np.array_equal(tiled, whole)
         assert np.array_equal(pooled, whole)
+
+    @pytest.mark.parametrize(
+        "shape,cout,starts",
+        [
+            ((1, 16, 80, 80), 32, [0, 40]),  # 640 radar pointwise: 40 + 40, not 68 + 12
+            ((1, 64, 160, 160), 64, list(range(0, 160, 13))),  # runs of 13 * 160 >= _RUN
+            ((1, 64, 80, 80), 64, [0, 20, 40, 60]),  # 26 rows would still give four blocks
+        ],
+    )
+    def test_dense_row_blocks_are_balanced(self, monkeypatch, shape, cout, starts):
+        """Dense row blocks hold ceil(H_out / blocks) rows, grown to a run of
+        ``_RUN`` per channel when that costs at most a tenth over ``_TILE``."""
+        blocks = []
+        map_tiles = tensor._map_tiles
+
+        def spy(tiles, make_tile):
+            blocks.append(tiles)
+            map_tiles(tiles, make_tile)
+
+        monkeypatch.setattr(tensor, "_map_tiles", spy)
+        x = np.ones(shape, dtype=np.float32)
+        conv2d(x, ConvParams(np.ones((cout, shape[1], 1, 1), dtype=np.float32)))
+        assert blocks == [starts]
 
     def test_taps_of_padding_alone_sum_to_positive_zero(self):
         """With padding 3 a 3x3 kernel's corner outputs read only padding:
@@ -751,6 +777,130 @@ class TestConvEpilogue:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + out.nbytes // 10
+
+
+class TestConvOut:
+    """conv2d(..., out=x) writes a 1x1 conv over its own input, and a tile
+    hook gets every finished tile once; both equal the out-of-place conv
+    bit for bit."""
+
+    @pytest.mark.parametrize("groups", [1, 6], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("tile", [None, 1, 37, 700])
+    def test_in_place_equals_out_of_place(self, monkeypatch, cores, tile, groups):
+        rng = np.random.default_rng(20 + groups)
+        p = ConvParams(
+            rng.standard_normal((6, 6 // groups, 1, 1)).astype(np.float32),
+            rng.standard_normal(6).astype(np.float32),
+            groups=groups,
+        )
+        if tile is not None:
+            monkeypatch.setattr(tensor, "_TILE", tile)
+        for n in (1, 2):
+            x = (3 * rng.standard_normal((n, 6, 9, 7))).astype(np.float32)
+            for c in (1, 2, 3):
+                cores(c)
+                for bn, act in [(None, None)] + _epilogues(_signed_bn(6, rng)):
+                    want = conv_steps(x, p, bn, act)
+                    y = x.copy()
+                    assert conv2d(y, p, bn, act, out=y) is y
+                    assert np.array_equal(_bits(y), _bits(want)), (n, c, act)
+
+    def test_out_receives_the_result(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        p = ConvParams(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), padding=1)
+        out = np.full((1, 4, 8, 8), np.nan, dtype=np.float32)
+        assert conv2d(x, p, act="relu", out=out) is out
+        assert np.array_equal(out, conv_steps(x, p, act="relu"))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "3x3 over its input",
+            "1x1 into a shifted view of its input",
+            "1x1 into another view of its input",
+            "read-only out",
+            "out of the wrong shape",
+            "float64 out",
+            "out and hook",
+        ],
+    )
+    def test_bad_out_rejected_before_any_tile(self, monkeypatch, case):
+        def no_tiles(*args):
+            raise AssertionError("a tile ran")
+
+        monkeypatch.setattr(tensor, "_map_tiles", no_tiles)
+        rng = np.random.default_rng(22)
+        big = rng.standard_normal((1, 4, 9, 6)).astype(np.float32)
+        x = big[:, :, :8]
+        one = ConvParams(rng.standard_normal((4, 4, 1, 1)).astype(np.float32))
+        three = ConvParams(rng.standard_normal((4, 1, 3, 3)).astype(np.float32), padding=1, groups=4)
+        p, out, hook = one, None, None
+        if case == "3x3 over its input":
+            p, out = three, x
+        elif case == "1x1 into a shifted view of its input":
+            out = big[:, :, 1:]
+        elif case == "1x1 into another view of its input":
+            out = x[...]
+        elif case == "read-only out":
+            (out,) = read_only(np.empty((1, 4, 8, 6), dtype=np.float32))
+        elif case == "out of the wrong shape":
+            out = np.empty((1, 4, 8, 5), dtype=np.float32)
+        elif case == "float64 out":
+            out = np.empty((1, 4, 8, 6))
+        else:
+            out, hook = np.empty((1, 4, 8, 6), dtype=np.float32), lambda y, cs, rs: None
+        before = big.copy()
+        with pytest.raises(ValueError):
+            conv2d(x, p, out=out, hook=hook)
+        assert np.array_equal(big, before)
+
+    # (batch, C_in, H, W, C_out, groups, k, stride, padding)
+    @pytest.mark.parametrize(
+        "n,cin,h,w,cout,groups,k,stride,padding",
+        [
+            (1, 4, 9, 8, 4, 1, 1, 1, 0),  # dense 1x1, the ENMoE projection
+            (2, 3, 9, 7, 5, 1, 3, 2, 1),  # dense 3x3 stride 2, batch 2
+            (2, 3, 9, 7, 6, 3, 3, 1, 1),  # depthwise multiplier 2, batch 2
+        ],
+    )
+    @pytest.mark.parametrize("tile", [None, 1, 37, 700])
+    def test_hook_gets_every_output_element_once(
+        self, monkeypatch, cores, tile, n, cin, h, w, cout, groups, k, stride, padding
+    ):
+        rng = np.random.default_rng(23 + groups + k)
+        x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
+        p = ConvParams(
+            rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32),
+            rng.standard_normal(cout).astype(np.float32),
+            stride,
+            padding,
+            groups,
+        )
+        bn = _signed_bn(cout, rng)
+        want = conv_steps(x, p, bn, "silu")
+        if tile is not None:
+            monkeypatch.setattr(tensor, "_TILE", tile)
+        # Up to three chunks on the pool, switching threads as often as the
+        # interpreter allows: a tile handed over twice, or with the wrong
+        # window, breaks the counts.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for c in (1, 2, 3):
+                cores(c)
+                got = np.full(want.shape, np.nan, dtype=np.float32)
+                seen = np.zeros(want.shape, dtype=np.int64)
+
+                def hook(y, cs, rs):
+                    got[:, cs, rs] = y
+                    seen[:, cs, rs] += 1
+
+                assert conv2d(x, p, bn, "silu", hook=hook) is None
+                assert (seen == 1).all()
+                assert np.array_equal(_bits(got), _bits(want)), c
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMaxpool1d:
