@@ -227,10 +227,6 @@ class MsRepParams:
             if missing:
                 raise ValueError(f"trainable block is missing branches: {missing}")
 
-    @property
-    def mode(self) -> str:
-        return "fused" if self.fused is not None else "train"
-
 
 def msrep_forward(x: FeatureMap, p: MsRepParams) -> FeatureMap:
     if p.fused is not None:
@@ -338,7 +334,7 @@ def res_head_forward(
             f"image size {image_size} is not a multiple of the merged extent {logits.shape[2]}"
         )
     factor = image_size // logits.shape[2]
-    logits = upsample(logits, factor, "bilinear")
+    logits = upsample(logits, factor)
     masks = [
         BinaryMask(bitmap=(logits[i, 0] > np.float32(threshold)).astype(np.uint8), threshold=threshold)
         for i in range(logits.shape[0])

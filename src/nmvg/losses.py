@@ -6,7 +6,8 @@ checking against central finite differences.  Computation runs in
 float64 regardless of the input dtype; the detection losses follow the
 center-point formulation (penalty-reduced focal confidence, sub-cell L1
 offsets, complete-IoU sizes) and the mask losses are soft Dice plus
-binary focal.
+binary focal.  Every loss raises ValueError on a NaN or infinite
+argument, and on a probability or mask argument outside [0, 1].
 """
 
 from __future__ import annotations
@@ -149,9 +150,43 @@ def gaussian_target(
 # ---------------------------------------------------------------------------
 
 
-def _target_array(target) -> np.ndarray:
-    y = target.heatmap if isinstance(target, HeatmapTarget) else target
-    return np.asarray(y, dtype=np.float64)
+def _checked(pred, target, what: str, kind: str = "real"):
+    """Both arguments as float64 arrays.  Raises ValueError on a NaN or an
+    infinity; for kind "probability" or "mask", on a value outside [0, 1];
+    and for "mask", on an empty or non-binary target."""
+    p = np.asarray(pred, dtype=np.float64)
+    y = np.asarray(target, dtype=np.float64)
+    for name, arr in (("prediction", p), ("target", y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{what} {name} must be finite")
+        if kind != "real" and ((arr < 0) | (arr > 1)).any():
+            raise ValueError(f"{what} {name} must lie in [0, 1]")
+    if kind == "mask" and p.size == 0:
+        raise ValueError(f"{what} over empty tensors is undefined")
+    if kind == "mask" and not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError(f"{what} target must be binary")
+    return p, y
+
+
+def _focal(p_raw, pos, weight, a: float, norm: float, name: str):
+    """Focal loss -(sum over pos of weight (1-p)^a log p + sum over the
+    rest of weight p^a log(1-p)) / norm, with its gradient.  weight is a
+    scalar or one value per cell.  Predictions are clamped into
+    [_CLAMP_LO, _CLAMP_HI], and clamped cells get no gradient."""
+    clamped = (p_raw < _CLAMP_LO) | (p_raw > _CLAMP_HI)
+    if clamped.any():
+        log.warning("%s clamped %d prediction(s) into [%g, %g]",
+                    name, int(clamped.sum()), _CLAMP_LO, _CLAMP_HI)
+    p = np.clip(p_raw, _CLAMP_LO, _CLAMP_HI)
+    q = 1 - p
+    lp = np.log(p)
+    lq = np.log1p(-p)
+    value = -(np.sum((weight * q**a * lp)[pos]) + np.sum((weight * p**a * lq)[~pos])) / norm
+    d_pos = -a * q ** (a - 1) * lp + q**a / p
+    d_neg = a * p ** (a - 1) * lq - p**a / q
+    grad = -(weight * np.where(pos, d_pos, d_neg)) / norm
+    grad[clamped] = 0.0
+    return float(value), grad
 
 
 def conf_loss(pred, target, cfg: LossConfig = LossConfig()):
@@ -161,37 +196,13 @@ def conf_loss(pred, target, cfg: LossConfig = LossConfig()):
     cells contribute (1-y)^beta p^alpha log(1-p).  The sum is negated and
     divided by the number of positive cells (floored at one).
     """
-    y = _target_array(target)
-    p_raw = np.asarray(pred, dtype=np.float64)
-    if p_raw.shape != y.shape:
-        raise ValueError(f"prediction shape {p_raw.shape} != target shape {y.shape}")
-    clamped = (p_raw < _CLAMP_LO) | (p_raw > _CLAMP_HI)
-    if clamped.any():
-        log.warning("conf_loss clamped %d prediction(s) into [%g, %g]",
-                    int(clamped.sum()), _CLAMP_LO, _CLAMP_HI)
-    p = np.clip(p_raw, _CLAMP_LO, _CLAMP_HI)
-    a = cfg.alpha_conf
-    b = cfg.beta_conf
+    y = target.heatmap if isinstance(target, HeatmapTarget) else target
+    p, y = _checked(pred, y, "conf_loss", "probability")
+    if p.shape != y.shape:
+        raise ValueError(f"prediction shape {p.shape} != target shape {y.shape}")
     pos = y == 1.0
-    n = max(int(pos.sum()), 1)
-
-    lp = np.log(p)
-    lq = np.log1p(-p)
-    value = -(
-        np.sum(((1 - p) ** a * lp)[pos])
-        + np.sum((((1 - y) ** b) * p**a * lq)[~pos])
-    ) / n
-
-    grad = np.empty_like(p)
-    grad[pos] = -(-a * (1 - p[pos]) ** (a - 1) * lp[pos] + (1 - p[pos]) ** a / p[pos]) / n
-    pn = p[~pos]
-    grad[~pos] = (
-        -((1 - y[~pos]) ** b)
-        * (a * pn ** (a - 1) * lq[~pos] - pn**a / (1 - pn))
-        / n
-    )
-    grad[clamped] = 0.0
-    return float(value), grad
+    weight = np.where(pos, 1.0, (1 - y) ** cfg.beta_conf)
+    return _focal(p, pos, weight, cfg.alpha_conf, max(int(pos.sum()), 1), "conf_loss")
 
 
 def offset_loss(pred, centers, downsample: int):
@@ -202,12 +213,12 @@ def offset_loss(pred, centers, downsample: int):
     coordinates of every object, and the gradient is non-zero only at
     the sampled cells.
     """
-    p = np.asarray(pred, dtype=np.float64)
+    p, pts = _checked(pred, centers, "offset_loss")
     if p.ndim != 3 or p.shape[0] != 2:
         raise ValueError(f"offset map must be (2, h, w), got shape {p.shape}")
     if downsample < 1:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
-    pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    pts = pts.reshape(-1, 2)
     grad = np.zeros_like(p)
     if pts.shape[0] == 0:
         return 0.0, grad
@@ -227,9 +238,16 @@ def offset_loss(pred, centers, downsample: int):
     return float(total / m), grad
 
 
-def _corners(b):
-    cx, cy, w, h = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+# d(x1, y1, x2, y2) / d(cx, cy, w, h): a row of corner gradients times this
+# is the gradient with respect to the box parameters.
+_CORNER_JACOBIAN = np.array([
+    [1.0, 0.0, -0.5, 0.0],
+    [0.0, 1.0, 0.0, -0.5],
+    [1.0, 0.0, 0.5, 0.0],
+    [0.0, 1.0, 0.0, 0.5],
+])
+# The sign of each corner (x1, y1, x2, y2) in its axis's extent hi - lo.
+_CORNER_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 def ciou_wh_loss(pred, gt):
@@ -240,34 +258,36 @@ def ciou_wh_loss(pred, gt):
     dependence of the aspect trade-off alpha_v on the prediction, so it
     matches finite differences of the actual value.
     """
-    p = np.asarray(pred, dtype=np.float64).reshape(-1, 4)
-    g = np.asarray(gt, dtype=np.float64).reshape(-1, 4)
+    p, g = _checked(pred, gt, "ciou_wh_loss")
+    p = p.reshape(-1, 4)
+    g = g.reshape(-1, 4)
     if p.shape != g.shape:
         raise ValueError(f"{p.shape[0]} predictions but {g.shape[0]} ground-truth boxes")
     if p.shape[0] == 0:
         raise ValueError("no boxes to compare")
-    if (g[:, 2] <= 0).any() or (g[:, 3] <= 0).any():
+    if (g[:, 2:] <= 0).any():
         raise ValueError("ground-truth boxes must have positive area")
-    if (p[:, 2] <= 0).any() or (p[:, 3] <= 0).any():
+    if (p[:, 2:] <= 0).any():
         raise ValueError("predicted boxes must have positive area")
     n = p.shape[0]
-    pcx, pcy, pw, ph = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    gcx, gcy, gw, gh = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
-    px1, py1, px2, py2 = _corners(p)
-    gx1, gy1, gx2, gy2 = _corners(g)
+    zeros = np.zeros((n, 2))
+    # Centres, sizes and corners per axis as (n, 2): x in column 0, y in 1.
+    # Per-box values are (n, 1) columns and their gradients (n, 4) rows over
+    # (cx, cy, w, h).
+    pc, ps, gc, gs = p[:, :2], p[:, 2:], g[:, :2], g[:, 2:]
+    plo, phi = pc - ps / 2, pc + ps / 2
+    glo, ghi = gc - gs / 2, gc + gs / 2
 
-    iw = np.clip(np.minimum(px2, gx2) - np.maximum(px1, gx1), 0.0, None)
-    ih = np.clip(np.minimum(py2, gy2) - np.maximum(py1, gy1), 0.0, None)
-    inter = iw * ih
-    union = pw * ph + gw * gh - inter
+    overlap = np.clip(np.minimum(phi, ghi) - np.maximum(plo, glo), 0.0, None)
+    inter = np.prod(overlap, axis=1, keepdims=True)
+    union = np.prod(ps, axis=1, keepdims=True) + np.prod(gs, axis=1, keepdims=True) - inter
     iou = inter / union
 
-    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
-    ew = np.maximum(px2, gx2) - np.minimum(px1, gx1)
-    eh = np.maximum(py2, gy2) - np.minimum(py1, gy1)
-    c2 = ew**2 + eh**2
+    rho2 = np.sum((pc - gc) ** 2, axis=1, keepdims=True)
+    enclose = np.maximum(phi, ghi) - np.minimum(plo, glo)
+    c2 = np.sum(enclose**2, axis=1, keepdims=True)
 
-    datan = np.arctan(gw / gh) - np.arctan(pw / ph)
+    datan = np.arctan(gs[:, :1] / gs[:, 1:]) - np.arctan(ps[:, :1] / ps[:, 1:])
     v = (4.0 / math.pi**2) * datan**2
     s = 1.0 - iou + v
     # s hits 0 only for a perfect match, where the aspect term vanishes
@@ -276,60 +296,22 @@ def ciou_wh_loss(pred, gt):
     ciou = iou - rho2 / c2 - alpha * v
     value = float(np.mean(1.0 - ciou))
 
-    # Active-side masks for the min/max corners.
-    m_ix2 = (px2 < gx2).astype(np.float64)
-    m_ix1 = (px1 > gx1).astype(np.float64)
-    m_iy2 = (py2 < gy2).astype(np.float64)
-    m_iy1 = (py1 > gy1).astype(np.float64)
-    live_w = (iw > 0).astype(np.float64)
-    live_h = (ih > 0).astype(np.float64)
-
-    diw = {
-        "cx": (m_ix2 - m_ix1) * live_w,
-        "w": 0.5 * (m_ix2 + m_ix1) * live_w,
-    }
-    dih = {
-        "cy": (m_iy2 - m_iy1) * live_h,
-        "h": 0.5 * (m_iy2 + m_iy1) * live_h,
-    }
-    zeros = np.zeros(n)
-    dinter = {
-        "cx": diw["cx"] * ih,
-        "cy": dih["cy"] * iw,
-        "w": diw["w"] * ih,
-        "h": dih["h"] * iw,
-    }
-    darea = {"cx": zeros, "cy": zeros, "w": ph, "h": pw}
-    diou = {}
-    for key in ("cx", "cy", "w", "h"):
-        dunion = darea[key] - dinter[key]
-        diou[key] = (dinter[key] * union - inter * dunion) / union**2
-
-    drho2 = {"cx": 2 * (pcx - gcx), "cy": 2 * (pcy - gcy), "w": zeros, "h": zeros}
-    m_ex2 = (px2 > gx2).astype(np.float64)
-    m_ex1 = (px1 < gx1).astype(np.float64)
-    m_ey2 = (py2 > gy2).astype(np.float64)
-    m_ey1 = (py1 < gy1).astype(np.float64)
-    dew = {"cx": m_ex2 - m_ex1, "w": 0.5 * (m_ex2 + m_ex1), "cy": zeros, "h": zeros}
-    deh = {"cy": m_ey2 - m_ey1, "h": 0.5 * (m_ey2 + m_ey1), "cx": zeros, "w": zeros}
-    dpen = {}
-    for key in ("cx", "cy", "w", "h"):
-        dc2 = 2 * ew * dew[key] + 2 * eh * deh[key]
-        dpen[key] = (drho2[key] * c2 - rho2 * dc2) / c2**2
-
-    denom = pw**2 + ph**2
-    dv = {
-        "cx": zeros,
-        "cy": zeros,
-        "w": (8.0 / math.pi**2) * datan * (-ph / denom),
-        "h": (8.0 / math.pi**2) * datan * (pw / denom),
-    }
-    grad = np.zeros_like(p)
-    for j, key in enumerate(("cx", "cy", "w", "h")):
-        dalpha = (dv[key] * (1.0 - iou) + v * diou[key]) / safe_s**2
-        dciou = diou[key] - dpen[key] - (dalpha * v + alpha * dv[key])
-        grad[:, j] = -dciou / n
-    return value, grad
+    # Corner gradients of the per-axis extents: a prediction edge moves the
+    # overlap where it bounds a non-empty overlap, and the enclosure where
+    # it bounds that.
+    d_overlap = _CORNER_SIGN * np.hstack([plo > glo, phi < ghi]) * np.tile(overlap > 0, 2)
+    d_enclose = _CORNER_SIGN * np.hstack([plo < glo, phi > ghi])
+    d_inter = (d_overlap * np.tile(overlap[:, ::-1], 2)) @ _CORNER_JACOBIAN
+    d_union = np.hstack([zeros, ps[:, ::-1]]) - d_inter  # d(w h) = (0, 0, h, w)
+    d_iou = (d_inter * union - inter * d_union) / union**2
+    d_rho2 = np.hstack([2 * (pc - gc), zeros])
+    d_c2 = (2 * np.tile(enclose, 2) * d_enclose) @ _CORNER_JACOBIAN
+    d_penalty = (d_rho2 * c2 - rho2 * d_c2) / c2**2
+    d_atan = np.hstack([zeros, ps[:, ::-1] * [1.0, -1.0]]) / np.sum(ps**2, axis=1, keepdims=True)
+    d_v = -(8.0 / math.pi**2) * datan * d_atan
+    d_alpha = (d_v * (1.0 - iou) + v * d_iou) / safe_s**2
+    d_ciou = d_iou - d_penalty - (d_alpha * v + alpha * d_v)
+    return value, -d_ciou / n
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +321,11 @@ def ciou_wh_loss(pred, gt):
 
 def dice_loss(pred, target, smooth: float = 1.0):
     """Soft Dice loss 1 - (2 sum(p g) + s) / (sum(p) + sum(g) + s)."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    g = np.asarray(target, dtype=np.float64).reshape(-1)
-    if p.size == 0:
-        raise ValueError("dice loss over empty tensors is undefined")
+    p, g = _checked(pred, target, "dice_loss", "mask")
+    p = p.reshape(-1)
+    g = g.reshape(-1)
     if p.size != g.size:
         raise ValueError(f"prediction has {p.size} elements, target has {g.size}")
-    if not np.isin(g, (0.0, 1.0)).all():
-        raise ValueError("dice target must be binary")
-    if (p < 0).any() or (p > 1).any():
-        raise ValueError("dice prediction must lie in [0, 1]")
     num = 2.0 * float(p @ g) + smooth
     den = float(p.sum() + g.sum()) + smooth
     value = 1.0 - num / den
@@ -358,33 +335,10 @@ def dice_loss(pred, target, smooth: float = 1.0):
 
 def focal_seg_loss(pred, target, cfg: LossConfig = LossConfig()):
     """Binary focal loss, mean over pixels: -alpha (1 - p_t)^gamma log p_t."""
-    p_raw = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(target, dtype=np.float64)
-    if p_raw.shape != g.shape:
-        raise ValueError(f"prediction shape {p_raw.shape} != target shape {g.shape}")
-    if p_raw.size == 0:
-        raise ValueError("focal loss over empty tensors is undefined")
-    if not np.isin(g, (0.0, 1.0)).all():
-        raise ValueError("focal target must be binary")
-    clamped = (p_raw < _CLAMP_LO) | (p_raw > _CLAMP_HI)
-    p = np.clip(p_raw, _CLAMP_LO, _CLAMP_HI)
-    a = cfg.alpha_res
-    gam = cfg.gamma_res
-    m = p.size
-    fg = g == 1.0
-
-    lp = np.log(p)
-    lq = np.log1p(-p)
-    value = (
-        np.sum((-a * (1 - p) ** gam * lp)[fg]) + np.sum((-a * p**gam * lq)[~fg])
-    ) / m
-
-    grad = np.empty_like(p)
-    grad[fg] = -a * (-gam * (1 - p[fg]) ** (gam - 1) * lp[fg] + (1 - p[fg]) ** gam / p[fg]) / m
-    pb = p[~fg]
-    grad[~fg] = -a * (gam * pb ** (gam - 1) * lq[~fg] - pb**gam / (1 - pb)) / m
-    grad[clamped] = 0.0
-    return float(value), grad
+    p, g = _checked(pred, target, "focal_seg_loss", "mask")
+    if p.shape != g.shape:
+        raise ValueError(f"prediction shape {p.shape} != target shape {g.shape}")
+    return _focal(p, g == 1.0, cfg.alpha_res, cfg.gamma_res, p.size, "focal_seg_loss")
 
 
 # ---------------------------------------------------------------------------

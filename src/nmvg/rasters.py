@@ -58,34 +58,19 @@ def _read_netpbm(data: bytes, path) -> tuple[str, int, int, np.ndarray]:
     return magic, width, height, pixels
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a P5 file as (H, W) float32 scaled to [0, 1]."""
-    magic, w, h, px = _read_netpbm(Path(path).read_bytes(), path)
-    if magic != "P5":
-        raise RasterError(f"{path}: expected a P5 gray image")
-    return (px.reshape(h, w).astype(np.float32) / 255.0).copy()
+def _write_netpbm(path: str | Path, magic: str, pixels: np.ndarray) -> None:
+    """Write (H, W) gray or (H, W, 3) color values as 8-bit P5/P6, rounded
+    and clipped to [0, 255]."""
+    h, w = pixels.shape[:2]
+    body = np.clip(np.rint(pixels), 0, 255).astype(np.uint8).tobytes()
+    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode() + body)
 
 
 def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise RasterError(f"write_ppm expects (3, H, W), got shape {arr.shape}")
-    arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
-    h, w = arr.shape[1:]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(arr.transpose(1, 2, 0).tobytes())
-
-
-def write_pgm(path: str | Path, gray: np.ndarray) -> None:
-    arr = np.asarray(gray)
-    if arr.ndim != 2:
-        raise RasterError(f"write_pgm expects (H, W), got shape {arr.shape}")
-    arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(arr.tobytes())
+    _write_netpbm(path, "P6", arr.transpose(1, 2, 0))
 
 
 def _netpbm_planes(data: bytes, path, size: int, what: str) -> np.ndarray:
@@ -136,13 +121,17 @@ def write_radar_raw(path: str | Path, planes: np.ndarray) -> None:
 def write_mask(path: str | Path, mask) -> None:
     """Write a binary mask as P5 with foreground 255."""
     bitmap = mask.bitmap if isinstance(mask, BinaryMask) else np.asarray(mask)
-    write_pgm(path, bitmap.astype(np.uint8) * 255)
+    if bitmap.ndim != 2:
+        raise RasterError(f"write_mask expects (H, W), got shape {bitmap.shape}")
+    _write_netpbm(path, "P5", bitmap.astype(np.uint8) * 255)
 
 
 def read_mask(path: str | Path) -> np.ndarray:
     """Read a P5 mask back to a {0, 1} uint8 bitmap (any non-zero is 1)."""
-    gray = read_pgm(path)
-    return (gray > 0).astype(np.uint8)
+    magic, w, h, px = _read_netpbm(Path(path).read_bytes(), path)
+    if magic != "P5":
+        raise RasterError(f"{path}: expected a P5 gray image")
+    return (px.reshape(h, w) > 0).astype(np.uint8)
 
 
 def write_boxes(path: str | Path, boxes) -> None:

@@ -142,7 +142,7 @@ def check_sobel():
 def check_bilinear():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-    up = upsample(x, 2, "bilinear")
+    up = upsample(x, 2)
     h, w = 6, 6
     want = np.zeros((h, w))
     for i in range(h):

@@ -128,30 +128,6 @@ class ShapeError(ValueError):
     """Input dimensions violate an operation's contract."""
 
 
-def feature_map(values, shape: tuple[int, int, int, int] | None = None) -> FeatureMap:
-    """Build a validated, read-only feature map.
-
-    ``values`` may be nested sequences or a flat buffer combined with an
-    explicit ``shape``.  The result is float32, C-contiguous, 4-D and
-    contains only finite values.
-    """
-    arr = np.asarray(values, dtype=np.float32)
-    if shape is not None:
-        expected = int(np.prod(shape))
-        if arr.size != expected:
-            raise ShapeError(
-                f"flat buffer has {arr.size} elements, shape {tuple(shape)} needs {expected}"
-            )
-        arr = arr.reshape(shape)
-    if arr.ndim != 4:
-        raise ShapeError(f"feature maps are (N, C, H, W); got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValueError("feature map contains non-finite values")
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
-
-
 def _as_f32(x, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float32)
     if arr.ndim != ndim:
@@ -679,20 +655,34 @@ def sobel(x: FeatureMap) -> FeatureMap:
     return np.sqrt(gx, out=gx)
 
 
-def _upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
-    return np.repeat(np.repeat(x, factor, axis=2), factor, axis=3)
+def _upsample2_add(fine: np.ndarray, coarse: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """fine plus the 2x nearest-neighbour blow-up of coarse, without making
+    the upsampled map: coarse (N, C, H, W) is repeated along columns only
+    (half the size of fine) and added to each pair of rows of fine
+    (N, C, 2H, 2W) through a broadcast view.  With ``in_place`` the sum is
+    written into fine when fine is contiguous (a conv output the caller
+    owns)."""
+    n, c, h, w = coarse.shape
+    pairs = fine.reshape(n, c, h, 2, 2 * w)
+    cols = np.repeat(coarse, 2, axis=3)[:, :, :, None]
+    return np.add(pairs, cols, out=pairs if in_place else None).reshape(n, c, 2 * h, 2 * w)
 
 
-def _upsample_bilinear(x: np.ndarray, factor: int) -> np.ndarray:
-    """Separable: each source row is interpolated along x once, then output
+def upsample(x: FeatureMap, factor: int) -> FeatureMap:
+    """Integer-factor bilinear (half-pixel, edge-clamped) upsampling.
+
+    Separable: each source row is interpolated along x once, then output
     rows pick and blend two of those rows.  Every output takes the same
     float32 steps as the four-corner form, top = tl * (1 - wx) + tr * wx,
     bot likewise, top * (1 - wy) + bot * wy, so the bits are the same."""
-    n, c, h, w = x.shape
-    ho, wo = h * factor, w * factor
-    # Half-pixel source coordinates, edge-clamped.
-    ys = np.clip((np.arange(ho, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(wo, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, w - 1.0)
+    x = _as_f32(x, 4, "upsample input")
+    if int(factor) != factor or factor < 1:
+        raise ShapeError(f"upsample factor must be a positive integer, got {factor}")
+    if factor == 1:
+        return x.copy()
+    h, w = x.shape[2:]
+    ys = np.clip((np.arange(h * factor, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(w * factor, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
@@ -707,34 +697,6 @@ def _upsample_bilinear(x: np.ndarray, factor: int) -> np.ndarray:
     bot *= wy
     out += bot
     return out
-
-
-def _upsample2_add(fine: np.ndarray, coarse: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """fine + upsample(coarse, 2, "nearest"), bit for bit, without making
-    the upsampled map: coarse (N, C, H, W) is repeated along columns only
-    (half the size of fine) and added to each pair of rows of fine
-    (N, C, 2H, 2W) through a broadcast view.  With ``in_place`` the sum is
-    written into fine when fine is contiguous (a conv output the caller
-    owns)."""
-    n, c, h, w = coarse.shape
-    pairs = fine.reshape(n, c, h, 2, 2 * w)
-    cols = np.repeat(coarse, 2, axis=3)[:, :, :, None]
-    return np.add(pairs, cols, out=pairs if in_place else None).reshape(n, c, 2 * h, 2 * w)
-
-
-def upsample(x: FeatureMap, factor: int, mode: str = "nearest") -> FeatureMap:
-    """Integer-factor spatial upsampling, nearest or bilinear (half-pixel)."""
-    x = _as_f32(x, 4, "upsample input")
-    if int(factor) != factor or factor < 1:
-        raise ShapeError(f"upsample factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if mode not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown upsample mode: {mode!r}")
-    if factor == 1:
-        return x.copy()
-    if mode == "nearest":
-        return _upsample_nearest(x, factor)
-    return _upsample_bilinear(x, factor)
 
 
 def global_avg_pool(x: FeatureMap) -> np.ndarray:

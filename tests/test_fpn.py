@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nmvg.fpn import FpnParams, fpn_forward
-from nmvg.tensor import ConvParams, ShapeError, conv2d, upsample
-from oracles import fpn_ref, rand_fpn, read_only
+from nmvg.tensor import ConvParams, ShapeError, conv2d
+from oracles import fpn_ref, rand_fpn, read_only, upsample_nearest_ref
 
 
 def _stages(rng, channels=(4, 6, 8, 10), base=8):
@@ -75,7 +75,7 @@ class TestFpnForward:
         p = rand_fpn(rng, (3, 4, 5, 6), 4)
         outs = fpn_forward(stages, p)
         tops = [conv2d(s, l) for s, l in zip(stages, p.lateral)]
-        merged = tops[2] + upsample(tops[3], 2, mode="nearest")
+        merged = tops[2] + upsample_nearest_ref(tops[3], 2).astype(np.float32)
         want = conv2d(merged, p.smooth[2])
         np.testing.assert_allclose(outs[2], want, atol=1e-5)
 
@@ -104,7 +104,7 @@ class TestFpnForward:
         merged = conv2d(stages[3], p.lateral[3])
         tops = [merged]
         for i in (2, 1, 0):
-            merged = conv2d(stages[i], p.lateral[i]) + upsample(merged, 2, "nearest")
+            merged = conv2d(stages[i], p.lateral[i]) + upsample_nearest_ref(merged, 2).astype(np.float32)
             tops.append(merged)
         want = [conv2d(t, sp) for t, sp in zip(reversed(tops), p.smooth)]
         assert all(np.array_equal(a, b) for a, b in zip(frozen, stages))

@@ -22,7 +22,7 @@ from nmvg.heads import (
     res_head_forward,
 )
 from nmvg.tensor import ConvParams, ShapeError, activation, conv2d, upsample
-from oracles import decode_ref, rand_bn, rand_conv, rand_msrep, read_only, rec_head_steps
+from oracles import decode_ref, rand_bn, rand_conv, rand_msrep, read_only, rec_head_steps, upsample_nearest_ref
 
 
 class TestDetectionBox:
@@ -232,7 +232,7 @@ class TestMsRep:
     def test_train_mode_sums_three_branches(self):
         rng = np.random.default_rng(10)
         p = rand_msrep(rng, 4)
-        assert p.mode == "train"
+        assert p.fused is None
         x = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
         from nmvg.tensor import batchnorm_inference, conv2d
 
@@ -249,7 +249,7 @@ class TestMsRep:
         c = int(rng.integers(1, 9))
         p = rand_msrep(rng, c)
         fused = msrep_fuse(p)
-        assert fused.mode == "fused"
+        assert fused.fused is not None
         x = rng.standard_normal((2, c, 7, 7)).astype(np.float32)
         np.testing.assert_allclose(
             msrep_forward(x, fused), msrep_forward(x, p), atol=1e-5
@@ -352,8 +352,8 @@ class TestResHead:
         d = conv2d(pyramid[3], p.entry)
         for finer, block in zip((pyramid[2], pyramid[1], pyramid[0]), p.blocks):
             merged = activation(msrep_forward(d, block) + d, "relu")
-            d = finer + upsample(merged, 2, "nearest")
-        want = upsample(conv2d(d, p.proj), 4, "bilinear")
+            d = finer + upsample_nearest_ref(merged, 2).astype(np.float32)
+        want = upsample(conv2d(d, p.proj), 4)
         assert all(np.array_equal(a, b) for a, b in zip(frozen, pyramid))
         assert np.array_equal(logits, want)
         assert all(np.array_equal(m.bitmap, want[i, 0] > np.float32(0.25)) for i, m in enumerate(masks))

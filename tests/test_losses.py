@@ -160,6 +160,22 @@ class TestConfLoss:
         v_arr, _ = conf_loss(t.heatmap, t.heatmap)
         assert v_obj == v_arr
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("where", ["prediction", "target"])
+    def test_non_finite_or_out_of_range_input_rejected(self, bad, where):
+        """A NaN gave a quiet NaN value, and so did a target of 1.5 under a
+        fractional beta; both arguments are probabilities."""
+        p = np.full((3, 3), 0.4)
+        y = np.full((3, 3), 0.2)
+        {"prediction": p, "target": y}[where][1, 1] = bad
+        with pytest.raises(ValueError, match=f"conf_loss {where} must"):
+            conf_loss(p, y, LossConfig(beta_conf=2.5))
+
+    def test_clamped_cells_logged(self, caplog):
+        with caplog.at_level("WARNING", logger="nmvg.losses"):
+            conf_loss(np.array([[0.0, 0.5, 1.0]]), np.array([[1.0, 0.5, 0.0]]))
+        assert "conf_loss clamped 2 prediction(s)" in caplog.text
+
 
 class TestOffsetLoss:
     def test_hand_exact_target_is_zero(self):
@@ -206,6 +222,15 @@ class TestOffsetLoss:
     def test_center_outside_grid_rejected(self):
         with pytest.raises(ValueError):
             offset_loss(np.zeros((2, 4, 4)), [(100.0, 1.0)], downsample=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        pred = np.zeros((2, 16, 16))
+        pred[0, 12, 10] = bad
+        with pytest.raises(ValueError, match="offset_loss prediction must be finite"):
+            offset_loss(pred, [(41.2, 49.6)], downsample=4)
+        with pytest.raises(ValueError, match="offset_loss target must be finite"):
+            offset_loss(np.zeros((2, 16, 16)), [(41.2, bad)], downsample=4)
 
 
 class TestCiouLoss:
@@ -261,6 +286,15 @@ class TestCiouLoss:
         with pytest.raises(ValueError):
             ciou_wh_loss(np.zeros((0, 4)), np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["prediction", "target"])
+    def test_non_finite_input_rejected(self, bad, where):
+        """A box with h = inf gave a loss of 1.05, a NaN one a NaN loss."""
+        boxes = {"prediction": np.array([[0.0, 0.0, 1.0, 1.0]]), "target": np.array([[0.5, 0.0, 1.0, 2.0]])}
+        boxes[where][0, 3] = bad
+        with pytest.raises(ValueError, match=f"ciou_wh_loss {where} must be finite"):
+            ciou_wh_loss(boxes["prediction"], boxes["target"])
+
 
 class TestDiceLoss:
     def test_hand_smoothed_miss(self):
@@ -293,6 +327,13 @@ class TestDiceLoss:
         with pytest.raises(ValueError):
             dice_loss(np.array([1.5]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="dice_loss prediction must be finite"):
+            dice_loss(np.array([0.5, bad]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="dice_loss target must be finite"):
+            dice_loss(np.array([0.5, 0.5]), np.array([1.0, bad]))
+
 
 class TestFocalSegLoss:
     def test_hand_single_foreground_pixel(self):
@@ -320,6 +361,20 @@ class TestFocalSegLoss:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             focal_seg_loss(np.zeros((0,)), np.zeros((0,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.5])
+    def test_non_finite_or_out_of_range_prediction_rejected(self, bad):
+        """[1.5] against [1] gave 2.5e-19 with zero gradient, where dice
+        refuses it; a NaN gave a NaN value."""
+        with pytest.raises(ValueError, match="focal_seg_loss prediction must"):
+            focal_seg_loss(np.array([bad]), np.array([1.0]))
+        with pytest.raises(ValueError, match="focal_seg_loss target must be finite"):
+            focal_seg_loss(np.array([0.5]), np.array([np.nan]))
+
+    def test_clamped_cells_logged(self, caplog):
+        with caplog.at_level("WARNING", logger="nmvg.losses"):
+            focal_seg_loss(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
+        assert "focal_seg_loss clamped 1 prediction(s)" in caplog.text
 
 
 class TestAssembly:

@@ -4,7 +4,9 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 from pathlib import Path
 
@@ -278,6 +280,45 @@ class TestForward:
         b = model.forward(image, radar, tokens)
         assert np.array_equal(a.heatmap, b.heatmap)
         assert np.array_equal(a.mask_logits, b.mask_logits)
+
+    def test_batch_gives_each_frame_its_own_bits(self, small_archive):
+        """A batch of three frames gives each frame the four outputs it gets
+        alone, bit for bit.  The batch widens every conv's GEMM, so a BLAS
+        whose summation order followed the column count would break this."""
+        model = Model.from_archive(SMALL, small_archive)
+        rng = np.random.default_rng(6)
+        image = rng.random((3, 3, 64, 64), dtype=np.float32)
+        radar = rng.standard_normal((3, 3, 64, 64)).astype(np.float32)
+        tokens = tokenize("a red buoy near the small boat", list(DEFAULT_VOCAB), SMALL.text_len)
+        batch = model.forward(image, radar, tokens)
+        for i in range(3):
+            alone = model.forward(image[i : i + 1], radar[i : i + 1], tokens)
+            for name in ("heatmap", "sizes", "offsets", "mask_logits"):
+                assert np.array_equal(getattr(batch, name)[i : i + 1], getattr(alone, name)), (i, name)
+
+    def test_concurrent_forwards_give_the_serial_outputs(self, small_archive):
+        """Four threads calling one model's forward at once, each on its own
+        frame, get the outputs a serial run gives, bit for bit."""
+        model = Model.from_archive(SMALL, small_archive)
+        rng = np.random.default_rng(7)
+        tokens = tokenize("the white ship", list(DEFAULT_VOCAB), SMALL.text_len)
+        frames = [
+            (rng.random((1, 3, 64, 64), dtype=np.float32), rng.standard_normal((1, 3, 64, 64)).astype(np.float32))
+            for _ in range(4)
+        ]
+        serial = [model.forward(image, radar, tokens) for image, radar in frames]
+        start = threading.Barrier(len(frames))
+
+        def run(frame):
+            start.wait(timeout=60)
+            return model.forward(*frame, tokens)
+
+        for _ in range(2):
+            with ThreadPoolExecutor(len(frames)) as pool:
+                threaded = list(pool.map(run, frames))
+            for want, got in zip(serial, threaded):
+                for name in ("heatmap", "sizes", "offsets", "mask_logits"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_head_scale_moves_detection_grid(self, small_archive):
         cfg = RunConfig(input_size=64, seed=11, head_scale=3)
@@ -839,6 +880,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"run.cfg:{text.count(chr(10))}: score_thresh: score_thresh must be finite" in err
         assert not (tmp_path / "out").exists()
+
+    def test_selftest_passes_every_check(self, capsys):
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "21/21 checks passed" in out
 
     @pytest.mark.parametrize("name,value", [("alpha_conf", "nan"), ("tau1", "inf")])
     def test_selftest_non_finite_loss_setting_exits_two(self, tmp_path, capsys, name, value):

@@ -23,7 +23,6 @@ from nmvg.tensor import (
     activation,
     batchnorm_inference,
     conv2d,
-    feature_map,
     global_avg_pool,
     maxpool1d,
     sobel,
@@ -43,7 +42,6 @@ from oracles import (
     sobel_ref,
     upsample_bilinear_corners,
     upsample_bilinear_ref,
-    upsample_nearest_ref,
 )
 
 
@@ -951,28 +949,13 @@ class TestSobel:
 class TestUpsample:
     def test_factor_one_identity(self):
         x = np.random.default_rng(8).standard_normal((1, 2, 3, 3)).astype(np.float32)
-        for mode in ("nearest", "bilinear"):
-            np.testing.assert_array_equal(upsample(x, 1, mode), x)
-
-    def test_nearest_block_replication(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        want = np.array(
-            [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=np.float32
-        )
-        np.testing.assert_array_equal(upsample(x, 2, "nearest")[0, 0], want)
-
-    def test_nearest_matches_oracle(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 2, 3, 4)).astype(np.float32)
-        np.testing.assert_allclose(upsample(x, 3, "nearest"), upsample_nearest_ref(x, 3), atol=0)
+        np.testing.assert_array_equal(upsample(x, 1), x)
 
     def test_bilinear_matches_oracle(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((1, 3, 4, 5)).astype(np.float32)
         for factor in (2, 4):
-            np.testing.assert_allclose(
-                upsample(x, factor, "bilinear"), upsample_bilinear_ref(x, factor), atol=1e-5
-            )
+            np.testing.assert_allclose(upsample(x, factor), upsample_bilinear_ref(x, factor), atol=1e-5)
 
     @pytest.mark.parametrize("factor", [2, 3, 4, 8])
     @pytest.mark.parametrize("n", [1, 4])
@@ -982,28 +965,23 @@ class TestUpsample:
         rng = np.random.default_rng(100 * n + factor)
         x = (rng.standard_normal((n, 3, 5, 7)) * 10.0 ** rng.integers(-30, 31, (n, 3, 5, 7)))
         x = x.astype(np.float32)
-        assert np.array_equal(upsample(x, factor, "bilinear"), upsample_bilinear_corners(x, factor))
+        assert np.array_equal(upsample(x, factor), upsample_bilinear_corners(x, factor))
 
-    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
-    def test_read_only_input_left_as_it_was(self, mode):
+    def test_read_only_input_left_as_it_was(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 4, 6)).astype(np.float32)
         (frozen,) = read_only(x)
-        got = upsample(frozen, 2, mode)
-        want = (
-            np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-            if mode == "nearest"
-            else upsample_bilinear_corners(x, 2)
-        )
+        got = upsample(frozen, 2)
         assert np.array_equal(frozen, x)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, upsample_bilinear_corners(x, 2))
 
     def test_bad_factor_and_mode_rejected(self):
+        """Upsampling is bilinear only: a mode argument is not accepted."""
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError):
-            upsample(x, 0, "nearest")
-        with pytest.raises(ValueError):
-            upsample(x, 2, "bicubic")
+            upsample(x, 0)
+        with pytest.raises(TypeError):
+            upsample(x, 2, "nearest")
 
 
 class TestGlobalAvgPool:
@@ -1021,19 +999,10 @@ class TestGlobalAvgPool:
 
 
 class TestFeatureMap:
-    def test_validates_rank(self):
-        with pytest.raises(ShapeError):
-            feature_map(np.zeros((3, 4, 5), dtype=np.float32))
-
-    def test_read_only(self):
-        fm = feature_map(np.zeros((1, 1, 2, 2), dtype=np.float32))
-        with pytest.raises(ValueError):
-            fm[0, 0, 0, 0] = 1.0
-
     def test_inputs_pass_through_unchanged(self):
         """Read-only maps are accepted, and no layer writes into its input."""
         rng = np.random.default_rng(13)
-        fm = feature_map(rng.standard_normal((2, 4, 7, 6)).astype(np.float32))
+        (fm,) = read_only(rng.standard_normal((2, 4, 7, 6)).astype(np.float32))
         kernels = {
             "dense 3x3": ConvParams(rng.standard_normal((3, 4, 3, 3)).astype(np.float32), padding=1),
             "dense 1x1": ConvParams(rng.standard_normal((3, 4, 1, 1)).astype(np.float32)),
