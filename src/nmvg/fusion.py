@@ -100,8 +100,11 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     each corner of each sample with one flat index over its H*W pixels,
     into float64 im2col columns (N, C_in, k_h*k_w, rows, W_out) that go
     through the same tiled grouped float64 contraction as ``conv2d``'s
-    dense path.  With an
-    all-zero offset predictor this reduces to conv2d(x, p.main).
+    dense path.  A block's coordinates, weights and indices live in
+    arrays its chunk makes once, on the calling thread, and every cast
+    into them is an assignment, so no block makes a temporary in a pool
+    thread.
+    With an all-zero offset predictor this reduces to conv2d(x, p.main).
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 4:
@@ -120,42 +123,74 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
             f"offset grid {offsets.shape[2:]} does not match conv output {(ho, wo)}"
         )
     ky, kx = np.unravel_index(np.arange(taps), (kh, kw))
-    base_x = (np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]
+    # Each tap's sampling grid before the offsets move it, as float64.
+    base_y = ((np.arange(ho) * main.stride - main.padding)[None, :, None] + ky[:, None, None]).astype(np.float64)
+    base_x = ((np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]).astype(np.float64)
     pixels = x.reshape(n, c_in, h * w)
 
     def make_fill(rows):
-        # One sample's gathered corner values and their weighted float64 copy.
+        # One element per sample (batch, tap, row, column) of a block.
+        size = n * taps * rows * wo
+        reals = np.empty((6, size))
+        ints = np.empty((5, size), dtype=np.int64)
+        masks = np.empty((5, size), dtype=bool)
         gathered = np.empty(c_in * taps * rows * wo, dtype=np.float32)
         weighted = np.empty(c_in * taps * rows * wo)
 
         def fill(cols, r0, r1):
-            off = offsets[:, :, r0:r1].astype(np.float64).reshape(n, taps, 2, r1 - r0, wo)
-            base_y = (np.arange(r0, r1) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
-            # Beyond this window all four bilinear corners are out of bounds, so
-            # clamping changes no result and keeps the int cast finite.
-            py = np.clip(base_y + off[:, :, 0], -2, h + 1)
-            px = np.clip(base_x + off[:, :, 1], -2, w + 1)
-            y0 = np.floor(py).astype(np.int64)
-            x0 = np.floor(px).astype(np.int64)
-            wy = py - y0
-            wx = px - x0
+            shape = (n, taps, r1 - r0, wo)
+            m = n * taps * (r1 - r0) * wo
+            wy, qy, wx, qx, wgt, valid = (a[:m].reshape(shape) for a in reals)
+            y0, y1, x0, x1, idx = (a[:m].reshape(shape) for a in ints)
+            vy0, vy1, vx0, vx1, inside = (a[:m].reshape(shape) for a in masks)
+            # Per axis: frac holds the coordinate, then its fraction f; rest
+            # its floor, then 1 - f; idx the floor as int64; c0 and c1 the
+            # floor and the next pixel clipped into the map, and v0 and v1
+            # whether they were in it unclipped.  wgt holds the grid until
+            # the corners need it.
+            for k, ext, grid, frac, rest, c0, c1, v0, v1 in (
+                (0, h, base_y[:, r0:r1], wy, qy, y0, y1, vy0, vy1),
+                (1, w, base_x, wx, qx, x0, x1, vx0, vx1),
+            ):
+                frac[...] = offsets[:, k::2, r0:r1]
+                wgt[...] = grid
+                frac += wgt
+                # Beyond this window all four bilinear corners are out of
+                # bounds, so clamping changes no result and keeps the cast finite.
+                np.clip(frac, -2, ext + 1, out=frac)
+                np.floor(frac, out=rest)
+                idx[...] = rest
+                frac -= rest
+                np.subtract(1.0, frac, out=rest)
+                np.clip(idx, 0, ext - 1, out=c0)
+                np.equal(c0, idx, out=v0)
+                np.clip(idx, -1, ext - 2, out=c1)
+                np.equal(c1, idx, out=v1)
+                c1 += 1
+            y0 *= w
+            y1 *= w
             cols = cols.reshape(n, c_in, -1)
             cols.fill(0.0)
             vals = gathered[: cols[0].size].reshape(c_in, -1)
             prod = weighted[: cols[0].size].reshape(c_in, -1)
-            for yy, xx, wgt in (
-                (y0, x0, (1 - wy) * (1 - wx)),
-                (y0, x0 + 1, (1 - wy) * wx),
-                (y0 + 1, x0, wy * (1 - wx)),
-                (y0 + 1, x0 + 1, wy * wx),
+            for row, col, a, b, va, vb in (
+                (y0, x0, qy, qx, vy0, vx0),
+                (y0, x1, qy, wx, vy0, vx1),
+                (y1, x0, wy, qx, vy1, vx0),
+                (y1, x1, wy, wx, vy1, vx1),
             ):
-                valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-                idx = (np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)).reshape(n, -1)
-                wgt = (wgt * valid).reshape(n, 1, -1)
-                for b in range(n):
-                    np.take(pixels[b], idx[b], axis=1, out=vals, mode="clip")
-                    np.multiply(vals, wgt[b], out=prod)
-                    cols[b] += prod
+                np.add(row, col, out=idx)
+                np.multiply(a, b, out=wgt)
+                np.logical_and(va, vb, out=inside)
+                valid[...] = inside
+                wgt *= valid
+                for i in range(n):
+                    # The indices are in range, so "wrap" never wraps; it
+                    # gathers faster than "clip".
+                    np.take(pixels[i], idx[i].reshape(-1), axis=1, out=vals, mode="wrap")
+                    prod[...] = vals
+                    prod *= wgt[i].reshape(1, -1)
+                    cols[i] += prod
 
         return fill
 

@@ -66,7 +66,7 @@ class BinaryMask:
         b = np.ascontiguousarray(np.asarray(self.bitmap, dtype=np.uint8))
         if b.ndim != 2:
             raise ShapeError(f"mask bitmap must be 2-D, got shape {b.shape}")
-        if not np.isin(b, (0, 1)).all():
+        if b.max(initial=0) > 1:
             raise ValueError("mask bitmap entries must be 0 or 1")
         object.__setattr__(self, "bitmap", b)
 

@@ -256,7 +256,8 @@ def ciou_wh_loss(pred, gt):
     Boxes are (cx, cy, w, h).  The loss per pair is 1 - CIoU where
     CIoU = IoU - rho^2 / c^2 - alpha_v * v; the gradient includes the
     dependence of the aspect trade-off alpha_v on the prediction, so it
-    matches finite differences of the actual value.
+    matches finite differences of the actual value.  Raises ValueError
+    when boxes are so extreme that the value or gradient is not finite.
     """
     p, g = _checked(pred, gt, "ciou_wh_loss")
     p = p.reshape(-1, 4)
@@ -269,6 +270,17 @@ def ciou_wh_loss(pred, gt):
         raise ValueError("ground-truth boxes must have positive area")
     if (p[:, 2:] <= 0).any():
         raise ValueError("predicted boxes must have positive area")
+    # Finite but extreme boxes (1e-200 or 1e300 wide) over- or underflow
+    # inside the terms; that shows as a non-finite result, refused here.
+    with np.errstate(all="ignore"):
+        value, grad = _ciou(p, g)
+    if not (np.isfinite(value) and np.isfinite(grad).all()):
+        raise ValueError("ciou_wh_loss is not finite for these boxes: a size or coordinate is too extreme")
+    return value, grad
+
+
+def _ciou(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """ciou_wh_loss's value and gradient for checked (n, 4) boxes."""
     n = p.shape[0]
     zeros = np.zeros((n, 2))
     # Centres, sizes and corners per axis as (n, 2): x in column 0, y in 1.

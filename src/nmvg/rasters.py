@@ -82,7 +82,7 @@ def _netpbm_planes(data: bytes, path, size: int, what: str) -> np.ndarray:
         arr = px.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float32)
     else:
         arr = np.broadcast_to(px.reshape(1, h, w), (3, h, w)).astype(np.float32)
-    return (arr / 255.0).copy()
+    return arr / 255.0
 
 
 def read_image(path: str | Path, size: int) -> np.ndarray:

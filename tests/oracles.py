@@ -615,3 +615,55 @@ def rec_head_steps(feat, p):
     heat = rec_branch_steps(feat, p.conf, "sigmoid")
     heat = np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7))
     return heat, rec_branch_steps(feat, p.wh), rec_branch_steps(feat, p.offset)
+
+
+def deform_conv_fresh(x, p):
+    """The deformable conv with each block's bilinear samples computed per
+    corner in fresh temporaries: the float64 coordinates, their floors cast
+    to int64, a validity mask, clipped index and weight made for every
+    corner, and each corner's gather scaled by a float32 x float64 multiply.
+    The blocks go through the runtime's own ``_contract_rows``, so only the
+    sampling differs from ``fusion.deform_conv``."""
+    from nmvg.tensor import _contract_rows, _emitter, conv2d
+
+    x = np.asarray(x, dtype=np.float32)
+    offsets = conv2d(x, p.offset_conv)
+    main = p.main
+    n, c_in, h, w = x.shape
+    co, _, kh, kw = main.kernel.shape
+    taps = kh * kw
+    ho = (h + 2 * main.padding - kh) // main.stride + 1
+    wo = (w + 2 * main.padding - kw) // main.stride + 1
+    ky, kx = np.unravel_index(np.arange(taps), (kh, kw))
+    base_x = (np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]
+    pixels = x.reshape(n, c_in, h * w)
+
+    def make_fill(rows):
+        def fill(cols, r0, r1):
+            off = offsets[:, :, r0:r1].astype(np.float64).reshape(n, taps, 2, r1 - r0, wo)
+            base_y = (np.arange(r0, r1) * main.stride - main.padding)[None, :, None] + ky[:, None, None]
+            py = np.clip(base_y + off[:, :, 0], -2, h + 1)
+            px = np.clip(base_x + off[:, :, 1], -2, w + 1)
+            y0 = np.floor(py).astype(np.int64)
+            x0 = np.floor(px).astype(np.int64)
+            wy = py - y0
+            wx = px - x0
+            cols = cols.reshape(n, c_in, -1)
+            cols.fill(0.0)
+            for yy, xx, wgt in (
+                (y0, x0, (1 - wy) * (1 - wx)),
+                (y0, x0 + 1, (1 - wy) * wx),
+                (y0 + 1, x0, wy * (1 - wx)),
+                (y0 + 1, x0 + 1, wy * wx),
+            ):
+                valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+                idx = (np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)).reshape(n, -1)
+                wgt = (wgt * valid).reshape(n, 1, -1)
+                for b in range(n):
+                    cols[b] += np.take(pixels[b], idx[b], axis=1) * wgt[b]
+
+        return fill
+
+    out = np.empty((n, co, ho, wo), dtype=np.float32)
+    _contract_rows(out.shape, main, make_fill, _emitter(out, co))
+    return out

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from nmvg.fusion import (
     tmdf_fuse,
     unflatten_spatial,
 )
-from nmvg import tensor
+import oracles
+from nmvg import fusion, tensor
 from nmvg.tensor import ConvParams, ShapeError, conv2d, maxpool1d
 from oracles import deform_ref, eca_ref, rand_tmdf, read_only, sinusoid_ref, tmdf_ref
 
@@ -208,6 +210,71 @@ class TestDeformConv:
             cores(k)
             outs.append(deform_conv(x, p))
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", ["batch3", "beyond_map", "huge"])
+    def test_sampling_equals_fresh_formula(self, monkeypatch, cores, case, k):
+        """The chunk-owned sampling equals the per-corner formula with fresh
+        temporaries bit for bit, on one chunk and on two."""
+        rng = np.random.default_rng(31)
+        c, n = 3, 3 if case == "batch3" else 2
+        p = _deform_params(rng, c, offset_scale=0.7)
+        if case != "batch3":
+            # Biases of a few pixels push many samples past the border;
+            # 1e20 pushes every one far outside it.
+            scale = 1e20 if case == "huge" else 4.0
+            bias = (scale * np.sign(rng.standard_normal(18))).astype(np.float32)
+            p = DeformParams(ConvParams(p.offset_conv.kernel, bias, padding=1), p.main)
+        x = rng.standard_normal((n, c, 11, 7)).astype(np.float32)
+        x[:, :, ::3] *= -1e-30  # negative pixels under zero weights make -0.0 products
+        # Two output rows per block: six blocks, the last one ragged.
+        monkeypatch.setattr(tensor, "_TILE", 2 * n * (9 * c + c) * 7)
+        cores(k)
+        want = oracles.deform_conv_fresh(x, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = deform_conv(x, p)
+        assert got.tobytes() == want.tobytes()
+
+    def test_tiles_allocate_less_than_a_coordinate_array(self, monkeypatch, cores):
+        """Once the chunk's buffers exist, running its tiles allocates less
+        than one block's float64 coordinate array (N * taps * rows * W_out
+        values): the sampling works in buffers made by ``make_fill``."""
+        rng = np.random.default_rng(32)
+        p = _deform_params(rng, 16, offset_scale=0.3)
+        x = rng.standard_normal((1, 16, 80, 80)).astype(np.float32)
+        cores(1)
+        block_rows, declared = [], []
+        contract_rows, map_tiles = fusion._contract_rows, tensor._map_tiles
+
+        def contract_spy(shape, main, make_fill, make_emit):
+            def make_fill_spy(rows):
+                block_rows.append(rows)
+                return make_fill(rows)
+
+            contract_rows(shape, main, make_fill_spy, make_emit)
+
+        def map_spy(tiles, make_tile):
+            def make_tile_spy():
+                tile = make_tile()
+                # The input, output, offsets and every chunk buffer so far.
+                declared.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                return tile
+
+            map_tiles(tiles, make_tile_spy)
+
+        monkeypatch.setattr(fusion, "_contract_rows", contract_spy)
+        monkeypatch.setattr(tensor, "_map_tiles", map_spy)
+        tracemalloc.start()
+        try:
+            deform_conv(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        coords = 8 * 9 * block_rows[0] * 80
+        assert 80 // block_rows[0] >= 3  # several blocks reuse the buffers
+        assert peak - declared[-1] < coords
 
     def test_offset_channel_count_enforced(self):
         with pytest.raises(ShapeError):

@@ -59,6 +59,19 @@ class TestBinaryMask:
         with pytest.raises(ShapeError):
             BinaryMask(np.zeros((2, 2, 2), dtype=np.uint8), 0.0)
 
+    def test_accepts_exactly_the_values_zero_and_one(self):
+        """The bound check accepts the same uint8 values as membership in
+        {0, 1} did, and an empty bitmap."""
+        for v in range(256):
+            bitmap = np.array([[0, 1], [1, v]], dtype=np.uint8)
+            if v <= 1:
+                assert BinaryMask(bitmap, 0.0).bitmap[1, 1] == v
+            else:
+                with pytest.raises(ValueError, match="0 or 1"):
+                    BinaryMask(bitmap, 0.0)
+        assert BinaryMask(np.zeros((0, 4), dtype=np.uint8), 0.0).bitmap.shape == (0, 4)
+        assert BinaryMask(np.eye(3, dtype=bool), 0.0).bitmap.dtype == np.uint8
+
 
 def _rand_branch(rng, cin, cout):
     return BranchParams(

@@ -278,6 +278,13 @@ class TestCiouLoss:
         with pytest.raises(ValueError):
             ciou_wh_loss(np.array([[0, 0, 1, 1.0]]), np.array([[0, 0, 0.0, 1.0]]))
 
+    @pytest.mark.parametrize("size", [1e-200, 1e300])
+    def test_extreme_box_rejected_not_nan_gradient(self, size):
+        """A finite box so small or large that the terms under- or overflow
+        gave a finite loss with an all-NaN gradient; it is refused."""
+        with pytest.raises(ValueError, match="ciou_wh_loss is not finite"):
+            ciou_wh_loss(np.array([[0.0, 0.0, size, size]]), np.array([[0.0, 0.0, 1.0, 1.0]]))
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ciou_wh_loss(np.zeros((2, 4)) + 1, np.zeros((3, 4)) + 1)
