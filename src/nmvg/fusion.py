@@ -101,9 +101,9 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     into float64 im2col columns (N, C_in, k_h*k_w, rows, W_out) that go
     through the same tiled grouped float64 contraction as ``conv2d``'s
     dense path.  A block's coordinates, weights and indices live in
-    arrays its chunk makes once, on the calling thread, and every cast
-    into them is an assignment, so no block makes a temporary in a pool
-    thread.
+    arrays made once per tile thread, on the calling thread, and every
+    cast into them is an assignment, so no block makes a temporary in a
+    pool thread.
     With an all-zero offset predictor this reduces to conv2d(x, p.main).
     """
     x = np.asarray(x, dtype=np.float32)
@@ -169,8 +169,7 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
                 c1 += 1
             y0 *= w
             y1 *= w
-            cols = cols.reshape(n, c_in, -1)
-            cols.fill(0.0)
+            cols.fill(0.0)  # a transposed view: written per frame, never reshaped
             vals = gathered[: cols[0].size].reshape(c_in, -1)
             prod = weighted[: cols[0].size].reshape(c_in, -1)
             for row, col, a, b, va, vb in (
@@ -190,7 +189,7 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
                     np.take(pixels[i], idx[i].reshape(-1), axis=1, out=vals, mode="wrap")
                     prod[...] = vals
                     prod *= wgt[i].reshape(1, -1)
-                    cols[i] += prod
+                    cols[i] += prod.reshape(cols[i].shape)
 
         return fill
 

@@ -64,14 +64,15 @@ class EvalResult:
 def _ap_101(tp_flags: list[bool], total_gt: int) -> float:
     if total_gt == 0:
         return 0.0
-    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64)) if tp_flags else np.zeros(0)
-    ranks = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
-    precision = tp / ranks if len(tp_flags) else np.zeros(0)
-    recall = tp / total_gt if len(tp_flags) else np.zeros(0)
+    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
+    precision = tp / np.arange(1, len(tp_flags) + 1, dtype=np.float64)
+    recall = tp / total_gt
+    # recall never falls, so the points at or above a level are a suffix:
+    # the envelope at a level is the suffix maximum from its first point.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r - 1e-12
-        ap += float(precision[mask].max()) if mask.any() else 0.0
+    for v in envelope[np.searchsorted(recall, np.linspace(0.0, 1.0, 101) - 1e-12)].tolist():
+        ap += v
     return ap / 101.0
 
 
@@ -103,19 +104,18 @@ def average_precision(
         for pb in preds:
             pool.append((float(pb.score), sample_idx, pb))
     pool.sort(key=lambda t: -t[0])
+    ious = [[box_iou(pb, gb) for gb in kept[si][1]] for _, si, pb in pool]
 
     aps, recalls = [], []
     for thresh in iou_thresholds:
         order_flags = []
         # greedy in global score order, matching within each sample
         taken = [[False] * len(g) for _, g in kept]
-        for score, si, pb in pool:
-            gts = kept[si][1]
+        for (_, si, _), row in zip(pool, ious):
             best, best_iou = -1, -1.0
-            for j, gb in enumerate(gts):
+            for j, iou in enumerate(row):
                 if taken[si][j]:
                     continue
-                iou = box_iou(pb, gb)
                 if iou >= thresh and iou > best_iou:
                     best, best_iou = j, iou
             if best >= 0:

@@ -27,16 +27,17 @@ free work buffer, using the same in-place helpers (``_normalize``,
 result equals the separate passes bit for bit.  A tile hook runs after
 that epilogue, on the tile's core.
 
-Threading: ``_map_tiles`` splits a conv's tiles into one contiguous chunk
-per core the process may run on; the calling thread runs the first chunk
-and a module-level pool of cores - 1 threads the others, while numpy
-releases the GIL inside each copy, ufunc and matmul.  The calling thread
-allocates every chunk's buffers, and each pool chunk runs in a copy of
-the caller's context, so the caller's ``np.errstate`` holds there too.
-Tiles, tap order and GEMM shapes do not depend on the split, so outputs
-are bitwise the same on any core count.
+Threading: ``_map_tiles`` runs a conv's tiles on one thread per core the
+process may run on, each pulling runs of consecutive tiles from one
+queue; the calling thread is one of them and a module-level pool of
+cores - 1 threads runs the others, while numpy releases the GIL inside
+each copy, ufunc and matmul.  The calling thread allocates every
+thread's buffers, and each pool job runs in a copy of the caller's
+context, so the caller's ``np.errstate`` holds there too.  Tiles, tap
+order and GEMM shapes do not depend on the split, so outputs are bitwise
+the same on any core count.
 The pool (and ``concurrent.futures``) is made by the first conv that
-spans two chunks, and made again by a forked child's first such conv.
+spans two threads, and made again by a forked child's first such conv.
 With more than one core, importing this module puts numpy's bundled
 OpenBLAS on one thread for the whole process, since the cores already run
 one tile each.  The threading and the OpenBLAS pin were timed on two
@@ -51,7 +52,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal, get_args
+from typing import Callable, Iterator, Literal, get_args
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,12 +66,13 @@ _KINDS = get_args(ActivationKind)
 # float64 elements (batch axis included) in the work buffer a conv reuses
 # from tile to tile: 2 MB, which stays in a core's L2 cache.
 _TILE = 1 << 18
-# A ufunc pass over a block of a map runs about 3x slower per element when
-# the block's run per channel (rows * W_out) is under this many elements.
-_RUN = 2048
+# numpy's ufunc buffer size (elements) while tiles run.  A ufunc whose
+# per-channel operand is broadcast over runs shorter than the buffer runs
+# 2-3.5x slower per element, so the tiles use a buffer below their runs.
+_BUFSIZE = 512
 
-# A conv splits its tiles into one chunk per core: the calling thread runs
-# the first and the _CORES - 1 threads of _pool() the others.
+# A conv runs its tiles on up to one thread per core: the calling thread and
+# the _CORES - 1 threads of _pool().
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None  # a concurrent.futures.ThreadPoolExecutor once _pool() made it
 _POOL_LOCK = threading.Lock()
@@ -81,7 +83,7 @@ _BLAS_THREAD_SETTERS = (
 
 def _pool():
     """The tile pool, made (and ``concurrent.futures`` imported) by the
-    first conv that spans two chunks."""
+    first conv that spans two threads."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
@@ -94,7 +96,7 @@ def _pool():
 def _drop_pool() -> None:
     """Forget the pool in a forked child, whose copy of it has no threads
     (and whose copy of the lock another thread may hold); the child's first
-    multi-chunk conv makes its own."""
+    multi-thread conv makes its own."""
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
 
@@ -247,7 +249,7 @@ def conv2d(
     pixels it reads into its float64 work before it rounds into that same
     window, and no two tiles share a window.  With ``hook`` no output is
     made and None is returned: each finished tile is rounded into a float32
-    buffer of its chunk, gets ``bn`` and ``act`` there, and is handed to
+    buffer of its thread, gets ``bn`` and ``act`` there, and is handed to
     ``hook(y, channels, rows)`` (slices of the output's channel and row
     axes), which writes it wherever it belongs, on the tile's core.  Every
     argument is checked before any tile runs.
@@ -283,7 +285,7 @@ def conv2d(
 
             def fill(cols, r0, r1):
                 nonlocal planes, p0, p1
-                if r1 > p1:
+                if r0 < p0 or r1 > p1:
                     p0, p1 = r0, min(ho, r0 + max(span, r1 - r0))
                     planes = _planes(x, p, p0, p1, buf)
                 for t in range(kh * kw):
@@ -306,6 +308,7 @@ def conv2d(
     per_row = n * wq * (2 * m + s * s)
     rows = min(ho, max(1, _TILE // per_row))
     block = min(c, max(1, _TILE // (per_row * rows)))
+    block = -(-c // -(-c // block))  # balanced: ceil(C / blocks) channels
 
     def make_tile():
         acc_buf, prod_buf = np.empty((2, n * block * m * rows * wq))
@@ -425,29 +428,25 @@ def _contract_rows(
     block of output rows at a time.
 
     ``make_fill(rows)`` returns a ``fill(cols, r0, r1)`` for blocks of at
-    most ``rows`` rows; it is called once per chunk of blocks, on the
-    calling thread, so it allocates that chunk's scratch there.  fill
-    writes the float64 im2col columns (N, C_in, k_h*k_w, r1 - r0, W_out) of
-    output rows r0:r1 into a view of a buffer of about ``_TILE`` elements.
-    Each block is contracted with the kernel as
-    (groups, C_out/groups, C_in/groups*k_h*k_w) in one batched float64
-    matmul into a reused result buffer, gets the bias added in float64,
-    and goes to the chunk's ``emit`` (see ``_emitter``).  A block holds
-    depth + C_out float64 values per output pixel (its columns and its
-    result), so sizing blocks by that sum keeps a tile's whole work near
-    ``_TILE``; a block grows to a run of ``_RUN`` per channel when that
-    costs at most a tenth more.  The blocks are then balanced,
-    ceil(H_out / blocks) rows each, so a chunk never sizes its buffers for
-    rows that a short last block leaves unused.
+    most ``rows`` rows; it is called once per thread, on the calling
+    thread, so it allocates that thread's scratch there.  fill writes the
+    float64 im2col columns of output rows r0:r1 through ``cols``, an
+    (N, C_in, k_h*k_w, r1 - r0, W_out) transposed view of a buffer of
+    about ``_TILE`` elements laid out (C_in*k_h*k_w, N, r1 - r0, W_out).
+    So each block, the whole batch at once, is contracted with the kernel
+    (groups, C_out/groups, C_in/groups*k_h*k_w) in one float64 matmul into
+    a reused result buffer, gets the bias added in float64, and goes to
+    the thread's ``emit`` (see ``_emitter``) as an (N, C_out, rows, W_out)
+    view.  A block holds depth + C_out float64 values per output pixel
+    (its columns and its result), so sizing blocks by that sum keeps a
+    tile's whole work near ``_TILE``.  The blocks are then balanced,
+    ceil(H_out / blocks) rows each, so a thread never sizes its buffers
+    for rows that a short last block leaves unused.
     """
     n, co, ho, wo = shape
     _, cg, kh, kw = p.kernel.shape
     depth = p.in_channels * kh * kw
-    per_row = n * (depth + co) * wo
-    rows = min(ho, max(1, _TILE // per_row))
-    run = min(ho, -(-_RUN // wo))
-    if rows < run and run * per_row <= _TILE + _TILE // 10:
-        rows = run
+    rows = min(ho, max(1, _TILE // (n * (depth + co) * wo)))
     rows = -(-ho // -(-ho // rows))
     k64 = p.kernel.astype(np.float64).reshape(p.groups, co // p.groups, cg * kh * kw)
     bias = None if p.bias is None else p.bias.astype(np.float64)[:, None]
@@ -460,18 +459,14 @@ def _contract_rows(
 
         def tile(r0):
             r1 = min(r0 + rows, ho)
-            cols = buf[: n * depth * (r1 - r0) * wo].reshape(n, p.in_channels, kh * kw, r1 - r0, wo)
-            fill(cols, r0, r1)
-            res = res_buf[: n * co * (r1 - r0) * wo]
-            np.matmul(
-                k64,
-                cols.reshape(n, p.groups, cg * kh * kw, -1),
-                out=res.reshape(n, p.groups, co // p.groups, -1),
-            )
-            block = res.reshape(n, co, -1)
+            span = n * (r1 - r0) * wo
+            cols = buf[: depth * span]
+            fill(cols.reshape(p.in_channels, kh * kw, n, r1 - r0, wo).transpose(2, 0, 1, 3, 4), r0, r1)
+            res = res_buf[: co * span].reshape(co, span)
+            np.matmul(k64, cols.reshape(p.groups, -1, span), out=res.reshape(p.groups, -1, span))
             if bias is not None:
-                block += bias
-            emit(block.reshape(n, co, r1 - r0, wo), 0, co, r0, res_buf.view(np.float32))
+                res += bias
+            emit(res.reshape(co, n, r1 - r0, wo).transpose(1, 0, 2, 3), 0, co, r0, res_buf.view(np.float32))
 
         return tile
 
@@ -479,34 +474,53 @@ def _contract_rows(
 
 
 def _map_tiles(tiles: list, make_tile: Callable[[], Callable]) -> None:
-    """Run ``tile(t)`` for every t in ``tiles``, split into one contiguous
-    chunk per core.
+    """Run ``tile(t)`` for every t in ``tiles`` on up to one thread per core.
 
-    ``make_tile()`` is called on the calling thread once per chunk and
-    returns that chunk's ``tile``, so every work buffer is allocated here
+    ``make_tile()`` is called on the calling thread once per thread and
+    returns that thread's ``tile``, so every work buffer is allocated here
     and not in a pool thread (glibc would keep each thread's freed
-    temporaries in that thread's own malloc arena).  The calling thread
-    runs the first chunk and ``_pool()`` the others, so one chunk never
-    touches (or makes) the pool.  Each tile writes its own slice of the
-    output, so the split changes no bit.  An exception in any chunk is
-    raised once every chunk has finished.
+    temporaries in that thread's own malloc arena).  The tiles are cut
+    into about four runs of consecutive tiles per thread, and each thread
+    pulls the next run from one shared iterator until none is left, so a
+    thread that finishes early takes more.  The calling thread is one of
+    them and ``_pool()`` runs the others, so one thread never touches (or
+    makes) the pool.  Each tile writes its own slice of the output, so the
+    split changes no bit.  Once a tile raises, no thread starts another
+    run, and the first exception is raised once every thread has
+    stopped.
     """
     k = min(_CORES, len(tiles))
-    jobs = [(make_tile(), tiles[len(tiles) * i // k : len(tiles) * (i + 1) // k]) for i in range(k)]
-    # np.errstate is per context: a pool chunk runs in a copy of the caller's.
+    m = min(len(tiles), 4 * k)
+    runs = iter([tiles[len(tiles) * i // m : len(tiles) * (i + 1) // m] for i in range(m)])
+    failed = []
+    jobs = [(make_tile(), runs, failed) for _ in range(k)]
+    # np.errstate is per context: a pool job runs in a copy of the caller's.
     futures = [_pool().submit(contextvars.copy_context().run, _run_chunk, *job) for job in jobs[1:]]
-    try:
-        _run_chunk(*jobs[0])
-    finally:
-        for f in futures:
-            f.exception()  # waits for the chunk without raising
+    _run_chunk(*jobs[0])
     for f in futures:
         f.result()
+    if failed:
+        raise failed[0]
 
 
-def _run_chunk(tile: Callable, chunk: list) -> None:
-    for t in chunk:
-        tile(t)
+def _run_chunk(tile: Callable, runs: Iterator[list], failed: list) -> None:
+    """Run ``tile`` over each run pulled from ``runs`` until none is left
+    or a tile of any thread has raised; an exception goes to ``failed``.
+    The tiles run with ufunc buffers of ``_BUFSIZE`` elements, which
+    changes no bit: they run no reduction, whose pairwise blocking depends
+    on the buffer size.  The caller's size is restored (numpy 1.x's
+    errstate would not)."""
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        for run in runs:  # next() on a list iterator is atomic under the GIL
+            if failed:
+                return
+            for t in run:
+                tile(t)
+    except BaseException as e:  # re-raised by _map_tiles
+        failed.append(e)
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _emitter(
@@ -516,13 +530,13 @@ def _emitter(
     act: ActivationKind | None = None,
     hook: TileHook | None = None,
 ) -> Callable[[int], Callable]:
-    """Check a conv's epilogue and return ``make_emit(size)``, which a chunk
-    calls on the calling thread for its ``emit(block, c0, c1, r0,
-    scratch)``.
+    """Check a conv's epilogue and return ``make_emit(size)``, which the
+    calling thread calls once per tile thread for its ``emit(block, c0,
+    c1, r0, scratch)``.
 
     emit rounds the float64 block (N, c1 - c0, rows, W_out) of output
     channels c0:c1 and rows r0: into ``out``, or, with a ``hook``, into a
-    float32 buffer of ``size`` elements the chunk owns.  It then applies
+    float32 buffer of ``size`` elements the thread owns.  It then applies
     ``bn`` and ``act`` to that float32 block y in place and hands y to
     ``hook``.  ``scratch`` is float32 with at least 2 * y.size elements
     (the block's free float64 work buffer, viewed)."""

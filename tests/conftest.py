@@ -5,8 +5,8 @@ import pytest
 
 @pytest.fixture
 def cores(monkeypatch):
-    """``cores(k)`` makes the convs split their tiles as on a k-core host:
-    k chunks, the first on the calling thread and k - 1 on a fresh pool."""
+    """``cores(k)`` makes the convs run their tiles as on a k-core host: on
+    k threads, the calling thread and k - 1 of a fresh pool."""
     from nmvg import tensor
 
     pools = []

@@ -469,6 +469,52 @@ def ap_ref(preds_per_sample, gts_per_sample, thresholds):
     return per_thresh, ap_all * 100.0, ar_all * 100.0
 
 
+def average_precision_loop(preds_per_sample, gts_per_sample, thresholds):
+    """``metrics.average_precision`` computed as first written: every
+    (prediction, ground truth) IoU again at every threshold, and each of
+    the 101 envelope points as the maximum precision over a boolean mask,
+    summed in recall order.  Kept as its bitwise reference."""
+    from nmvg.metrics import EvalResult, _as_box, box_iou
+
+    kept = [
+        (list(p), [_as_box(g) for g in gts])
+        for p, gts in zip(preds_per_sample, gts_per_sample)
+        if len(list(p)) or len(list(gts))
+    ]
+    total_gt = sum(len(g) for _, g in kept)
+    pool = sorted(
+        ((float(pb.score), si, pb) for si, (preds, _) in enumerate(kept) for pb in preds),
+        key=lambda t: -t[0],
+    )
+    aps, recalls = [], []
+    for thresh in thresholds:
+        flags = []
+        taken = [[False] * len(g) for _, g in kept]
+        for _, si, pb in pool:
+            best, best_iou = -1, -1.0
+            for j, gb in enumerate(kept[si][1]):
+                if taken[si][j]:
+                    continue
+                iou = box_iou(pb, gb)
+                if iou >= thresh and iou > best_iou:
+                    best, best_iou = j, iou
+            if best >= 0:
+                taken[si][best] = True
+            flags.append(best >= 0)
+        ap = 0.0
+        if total_gt:
+            tp = np.cumsum(np.asarray(flags, dtype=np.float64)) if flags else np.zeros(0)
+            precision = tp / np.arange(1, len(flags) + 1, dtype=np.float64) if flags else np.zeros(0)
+            recall = tp / total_gt if flags else np.zeros(0)
+            for r in np.linspace(0.0, 1.0, 101):
+                mask = recall >= r - 1e-12
+                ap += float(precision[mask].max()) if mask.any() else 0.0
+        aps.append(ap / 101.0)
+        recalls.append(sum(flags) / total_gt if total_gt else 0.0)
+    ap50 = 100.0 * dict(zip(thresholds, aps)).get(0.5, aps[0])
+    return EvalResult(ap50, 100.0 * float(np.mean(aps)), 100.0 * float(np.mean(recalls)))
+
+
 def _iou_ref(a, b):
     ax1, ay1, ax2, ay2 = a[0] - a[2] / 2, a[1] - a[3] / 2, a[0] + a[2] / 2, a[1] + a[3] / 2
     bx1, by1, bx2, by2 = b[0] - b[2] / 2, b[1] - b[3] / 2, b[0] + b[2] / 2, b[1] + b[3] / 2
@@ -648,7 +694,6 @@ def deform_conv_fresh(x, p):
             x0 = np.floor(px).astype(np.int64)
             wy = py - y0
             wx = px - x0
-            cols = cols.reshape(n, c_in, -1)
             cols.fill(0.0)
             for yy, xx, wgt in (
                 (y0, x0, (1 - wy) * (1 - wx)),
@@ -660,7 +705,7 @@ def deform_conv_fresh(x, p):
                 idx = (np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)).reshape(n, -1)
                 wgt = (wgt * valid).reshape(n, 1, -1)
                 for b in range(n):
-                    cols[b] += np.take(pixels[b], idx[b], axis=1) * wgt[b]
+                    cols[b] += (np.take(pixels[b], idx[b], axis=1) * wgt[b]).reshape(cols[b].shape)
 
         return fill
 

@@ -212,6 +212,16 @@ class TestDeformConv:
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
     @pytest.mark.parametrize("k", [1, 2])
+    def test_batch_frames_get_their_solo_bits(self, cores, k):
+        rng = np.random.default_rng(33)
+        p = _deform_params(rng, 16, offset_scale=0.7)
+        x = rng.standard_normal((3, 16, 40, 40)).astype(np.float32)
+        cores(k)
+        batch = deform_conv(x, p)
+        for i in range(3):
+            assert batch[i].tobytes() == deform_conv(x[i : i + 1], p)[0].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("case", ["batch3", "beyond_map", "huge"])
     def test_sampling_equals_fresh_formula(self, monkeypatch, cores, case, k):
         """The chunk-owned sampling equals the per-corner formula with fresh
@@ -237,13 +247,14 @@ class TestDeformConv:
         assert got.tobytes() == want.tobytes()
 
     def test_tiles_allocate_less_than_a_coordinate_array(self, monkeypatch, cores):
-        """Once the chunk's buffers exist, running its tiles allocates less
-        than one block's float64 coordinate array (N * taps * rows * W_out
-        values): the sampling works in buffers made by ``make_fill``."""
+        """Once every thread's buffers exist, running the tiles allocates
+        less than one block's float64 coordinate array (N * taps * rows *
+        W_out values), on one thread or two: the sampling works in buffers
+        made by ``make_fill``, and numpy's ufunc buffers in the tiles hold
+        ``_BUFSIZE`` elements."""
         rng = np.random.default_rng(32)
         p = _deform_params(rng, 16, offset_scale=0.3)
         x = rng.standard_normal((1, 16, 80, 80)).astype(np.float32)
-        cores(1)
         block_rows, declared = [], []
         contract_rows, map_tiles = fusion._contract_rows, tensor._map_tiles
 
@@ -257,7 +268,7 @@ class TestDeformConv:
         def map_spy(tiles, make_tile):
             def make_tile_spy():
                 tile = make_tile()
-                # The input, output, offsets and every chunk buffer so far.
+                # The input, output, offsets and every thread's buffers so far.
                 declared.append(tracemalloc.get_traced_memory()[0])
                 tracemalloc.reset_peak()
                 return tile
@@ -266,15 +277,18 @@ class TestDeformConv:
 
         monkeypatch.setattr(fusion, "_contract_rows", contract_spy)
         monkeypatch.setattr(tensor, "_map_tiles", map_spy)
-        tracemalloc.start()
-        try:
-            deform_conv(x, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        coords = 8 * 9 * block_rows[0] * 80
-        assert 80 // block_rows[0] >= 3  # several blocks reuse the buffers
-        assert peak - declared[-1] < coords
+        for k in (1, 2):
+            cores(k)
+            block_rows[:], declared[:] = [], []
+            tracemalloc.start()
+            try:
+                deform_conv(x, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            coords = 8 * 9 * block_rows[0] * 80
+            assert 80 // block_rows[0] >= 3  # several blocks reuse the buffers
+            assert peak - declared[-1] < coords, k
 
     def test_offset_channel_count_enforced(self):
         with pytest.raises(ShapeError):

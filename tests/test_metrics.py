@@ -11,7 +11,7 @@ from nmvg.metrics import (
     mask_miou,
     mept,
 )
-from oracles import ap_ref
+from oracles import ap_ref, average_precision_loop
 
 
 def _box(cx, cy, w, h, score=0.9):
@@ -166,6 +166,41 @@ class TestAveragePrecision:
         assert res.ap50 == pytest.approx(100.0 * want_per[0.5], abs=1e-9)
         assert res.ap50_95 == pytest.approx(want_ap, abs=1e-9)
         assert res.ar50_95 == pytest.approx(want_ar, abs=1e-9)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_threshold_loop(self, seed):
+        """One IoU table per call and the suffix-maximum envelope give the
+        per-threshold loop's result bit for bit, on pools with tied scores
+        and IoUs, empty samples, samples with only boxes of one side, and
+        predictions that match nothing."""
+        rng = np.random.default_rng(900 + seed)
+        grid = [(float(x), float(y), float(w), float(h)) for x in (4, 6, 9) for y in (4, 7) for w in (2, 3) for h in (2, 4)]
+        for _ in range(50):
+            gts, preds = [], []
+            for _ in range(int(rng.integers(1, 5))):
+                gts.append([grid[i] for i in rng.integers(0, len(grid), int(rng.integers(0, 4)))])
+                preds.append(
+                    [
+                        _box(*grid[i], score=float(rng.choice([0.2, 0.5, 0.5, 0.8])))
+                        for i in rng.integers(0, len(grid), int(rng.integers(0, 5)))
+                    ]
+                )
+            if not any(gts) and not any(preds):
+                preds[0] = [_box(*grid[0])]
+            want = average_precision_loop(preds, gts, IOU_THRESHOLDS)
+            assert average_precision(preds, gts) == want
+
+    def test_each_pair_iou_computed_once(self, monkeypatch):
+        from nmvg import metrics
+
+        calls = []
+        iou = metrics.box_iou
+        monkeypatch.setattr(metrics, "box_iou", lambda a, b: calls.append(1) or iou(a, b))
+        gts = [[(0.0, 0.0, 2.0, 2.0), (5.0, 5.0, 2.0, 2.0)], [(1.0, 1.0, 3.0, 3.0)]]
+        preds = [[_box(0.0, 0.0, 2.0, 2.0), _box(9.0, 9.0, 1.0, 1.0)], [_box(1.0, 1.0, 2.0, 3.0)]]
+        average_precision(preds, gts)
+        assert len(calls) == 2 * 2 + 1 * 1
 
 
 class TestMaskMiou:

@@ -221,13 +221,12 @@ class TestConvTiles:
         "shape,cout,starts",
         [
             ((1, 16, 80, 80), 32, [0, 40]),  # 640 radar pointwise: 40 + 40, not 68 + 12
-            ((1, 64, 160, 160), 64, list(range(0, 160, 13))),  # runs of 13 * 160 >= _RUN
-            ((1, 64, 80, 80), 64, [0, 20, 40, 60]),  # 26 rows would still give four blocks
+            ((1, 64, 160, 160), 64, list(range(0, 160, 12))),  # 12 rows fit, 14 blocks
+            ((1, 64, 80, 80), 64, [0, 20, 40, 60]),  # 25 rows fit: four blocks of 20
         ],
     )
     def test_dense_row_blocks_are_balanced(self, monkeypatch, shape, cout, starts):
-        """Dense row blocks hold ceil(H_out / blocks) rows, grown to a run of
-        ``_RUN`` per channel when that costs at most a tenth over ``_TILE``."""
+        """Dense row blocks hold ceil(H_out / blocks) rows."""
         blocks = []
         map_tiles = tensor._map_tiles
 
@@ -239,6 +238,22 @@ class TestConvTiles:
         x = np.ones(shape, dtype=np.float32)
         conv2d(x, ConvParams(np.ones((cout, shape[1], 1, 1), dtype=np.float32)))
         assert blocks == [starts]
+
+    def test_depthwise_channel_blocks_are_balanced(self, monkeypatch):
+        """A 64-channel depthwise 3x3 at 40x40 fits 52 channels a block; its
+        two blocks hold ceil(64 / 2) channels each, so two cores split 32 +
+        32, not 52 + 12."""
+        blocks = []
+        map_tiles = tensor._map_tiles
+
+        def spy(tiles, make_tile):
+            blocks.append(tiles)
+            map_tiles(tiles, make_tile)
+
+        monkeypatch.setattr(tensor, "_map_tiles", spy)
+        x = np.ones((1, 64, 40, 40), dtype=np.float32)
+        conv2d(x, ConvParams(np.ones((64, 1, 3, 3), dtype=np.float32), padding=1, groups=64))
+        assert blocks == [[(0, 0), (32, 0)]]
 
     def test_taps_of_padding_alone_sum_to_positive_zero(self):
         """With padding 3 a 3x3 kernel's corner outputs read only padding:
@@ -281,7 +296,7 @@ class TestConvTiles:
 
     def test_wide_pointwise_result_buffer_stays_within_tile(self, cores):
         """The 640 image stem's pointwise 3->16 conv at 320x320: row blocks
-        are sized by C_out as well as the im2col depth, so each chunk's
+        are sized by C_out as well as the im2col depth, so each thread's
         im2col and GEMM result buffers hold at most about ``_TILE`` float64
         each."""
         rng = np.random.default_rng(12)
@@ -299,7 +314,7 @@ class TestConvTiles:
 
 def _thread_spy(monkeypatch):
     """Record, for every ``_map_tiles`` call, the threads that built each
-    chunk's buffers and the threads that ran its tiles."""
+    tile thread's buffers and the threads that ran its tiles."""
     calls = []
     map_tiles = tensor._map_tiles
 
@@ -324,8 +339,8 @@ def _thread_spy(monkeypatch):
 
 
 class TestCorePool:
-    """Each conv's tiles run in one chunk per core, the first on the calling
-    thread; the split changes no output bit."""
+    """Each conv's tiles run on one thread per core, the calling thread one
+    of them; the split changes no output bit."""
 
     # frame640 shapes: (input, kernel, stride, padding, groups)
     @pytest.mark.parametrize(
@@ -361,9 +376,26 @@ class TestCorePool:
         (n1, made1, ran1), (n2, made2, ran2), (n3, made3, ran3) = calls
         assert n1 == n2 == n3 >= 3
         assert made1 == [main] and made2 == [main] * 2 and made3 == [main] * 3
-        # Which pool thread takes which chunk is up to the pool.
+        # Which pool thread takes which run is up to the pool.
         assert ran1 == {main} and len(ran2) == 2 and len(ran3) >= 2 and main in ran2 & ran3
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_batch_frames_get_their_solo_bits(self, cores, k):
+        """A dense 3x3 64->64 conv (GEMM depth 576) of a batch of three, four
+        6-row blocks of one GEMM each, gives every frame the bits it gets
+        alone, in two 12-row blocks."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 64, 24, 20)).astype(np.float32)
+        p = ConvParams(
+            rng.standard_normal((64, 64, 3, 3)).astype(np.float32),
+            rng.standard_normal(64).astype(np.float32),
+            padding=1,
+        )
+        cores(k)
+        batch = conv2d(x, p)
+        for i in range(3):
+            assert batch[i].tobytes() == conv2d(x[i : i + 1], p)[0].tobytes()
 
     def test_one_tile_runs_inline(self, monkeypatch, cores):
         cores(3)
@@ -374,28 +406,45 @@ class TestCorePool:
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_raised_once_every_chunk_finished(self, cores, failing):
-        """Chunks [0, 1], [2, 3], [4, 5]: the first tile of chunk `failing`
-        raises while the other chunks are still sleeping."""
+        """Twelve one-tile runs on three threads: tiles 0-2 start, one per
+        thread.  Then the tile on the calling thread (failing 0) or on a
+        pool thread (failing 1) raises KeyError at once, another raises
+        IndexError after 0.05 s and the third returns after 0.1 s.  The
+        KeyError is raised, once the last tile has returned, and no run
+        starts after the failure."""
         cores(3)
-        done = []
+        main = threading.get_ident()
+        started, done, roles = [], [], []
+        barrier = threading.Barrier(3, timeout=30)
+        lock = threading.Lock()
 
         def make_tile():
             def tile(t):
-                if t == 2 * failing:
+                started.append(t)
+                barrier.wait()  # all three threads hold a tile
+                with lock:
+                    key = (threading.get_ident() == main) == (failing == 0) and "key" not in roles
+                    role = "key" if key else ["index", "finish"][len(set(roles) - {"key"})]
+                    roles.append(role)
+                if role == "key":
                     raise KeyError(t)
-                time.sleep(0.05)
+                time.sleep(0.05 if role == "index" else 0.1)
+                if role == "index":
+                    raise IndexError(t)
                 done.append(t)
 
             return tile
 
         with pytest.raises(KeyError):
-            tensor._map_tiles(list(range(6)), make_tile)
-        assert sorted(done) == [t for t in range(6) if t // 2 != failing]
+            tensor._map_tiles(list(range(12)), make_tile)
+        assert sorted(started) == [0, 1, 2] and sorted(roles) == ["finish", "index", "key"]
+        assert len(done) == 1
 
     def test_pool_chunks_run_in_the_callers_error_state(self, monkeypatch, cores):
-        """Two chunks of a dense 1x1 conv; only the second (rows 4-7), which
-        a pool thread runs, overflows when rounded to float32.  np.errstate
-        is per context, so that thread must run in a copy of the caller's."""
+        """A dense 1x1 conv on two threads whose rows 4-7 overflow when
+        rounded to float32.  np.errstate is per context, so a pool thread
+        that takes them must run in a copy of the caller's (that every tile
+        thread does is checked with the buffer size below)."""
         cores(2)
         monkeypatch.setattr(tensor, "_TILE", 8)  # tiles of one or two rows
         x = np.ones((1, 1, 8, 4), dtype=np.float32)
@@ -405,6 +454,34 @@ class TestCorePool:
             x[:, :, 4:] = 3e38
             with pytest.raises(FloatingPointError):
                 conv2d(x, p)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tiles_leave_the_callers_buffer_size_and_error_state(self, monkeypatch, cores, k):
+        """Every tile thread runs with ufunc buffers of ``_BUFSIZE`` elements
+        and the caller's error state, and the caller's buffer size and error
+        state are the same after the conv, also after a tile raises."""
+        cores(k)
+        monkeypatch.setattr(tensor, "_TILE", 8)  # tiles of one or two rows
+        x = np.ones((1, 1, 8, 4), dtype=np.float32)
+        p = ConvParams(np.full((1, 1, 1, 1), 10.0, dtype=np.float32))
+        barrier = threading.Barrier(k, timeout=30)
+        seen = {}
+
+        def hook(y, cs, rs):
+            if threading.get_ident() not in seen:
+                seen[threading.get_ident()] = (np.getbufsize(), np.geterr()["over"])
+                barrier.wait()  # each thread holds its first tile until all have one
+
+        with np.errstate(over="raise", under="warn"):
+            np.setbufsize(4096)
+            want = (np.geterr(), np.getbufsize())
+            conv2d(x, p, hook=hook)
+            assert len(seen) == k and set(seen.values()) == {(tensor._BUFSIZE, "raise")}
+            assert (np.geterr(), np.getbufsize()) == want
+            x[:, :, 4:] = 3e38
+            with pytest.raises(FloatingPointError):
+                conv2d(x, p)
+            assert (np.geterr(), np.getbufsize()) == want
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_a_working_pool(self, monkeypatch, cores):
@@ -879,7 +956,7 @@ class TestConvOut:
         want = conv_steps(x, p, bn, "silu")
         if tile is not None:
             monkeypatch.setattr(tensor, "_TILE", tile)
-        # Up to three chunks on the pool, switching threads as often as the
+        # Up to three tile threads, switching threads as often as the
         # interpreter allows: a tile handed over twice, or with the wrong
         # window, breaks the counts.
         interval = sys.getswitchinterval()
