@@ -63,19 +63,10 @@ def _build_config(args) -> RunConfig:
 
 def _cmd_infer(args) -> int:
     cfg = _build_config(args)
-    mode = "fused" if args.fused else "train" if args.train_mode else "auto"
     # An input that overflows inside the model ends in NonFiniteOutputError,
     # so the numpy warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_infer(
-            cfg,
-            load_archive(args.weights),
-            args.image,
-            args.radar,
-            args.prompt,
-            args.out_dir,
-            mode=mode,
-        )
+        result = run_infer(cfg, load_archive(args.weights), args.image, args.radar, args.prompt, args.out_dir)
     print(f"{len(result.boxes)} boxes -> {result.boxes_path}")
     print(f"mask -> {result.mask_path}")
     return 0
@@ -124,12 +115,10 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_gen_fixtures(args) -> int:
-    if args.config:
-        cfg = RunConfig.from_file(args.config, seed=args.seed)
-    else:
-        # Small default extent keeps the demo pipeline quick on a laptop.
-        cfg = RunConfig(input_size=args.size, seed=args.seed if args.seed is not None else 0)
-    paths = generate_fixtures(args.out_dir, cfg, seed=args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    # Small default extent keeps the demo pipeline quick on a laptop.
+    cfg = RunConfig.from_file(args.config, **seed) if args.config else RunConfig(input_size=args.size, **seed)
+    paths = generate_fixtures(args.out_dir, cfg)
     for name, path in paths.items():
         print(f"{name:8s} {path}")
     return 0
@@ -145,9 +134,6 @@ def build_parser() -> _Parser:
     p.add_argument("--radar", required=True, help="raster or raw float32 planes at the configured size")
     p.add_argument("--prompt", required=True, help="text file with the grounding phrase")
     p.add_argument("--out-dir", default="out", help="directory for boxes.txt and mask.pgm")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fused", action="store_true", help="require the folded segmentation blocks")
-    mode.add_argument("--train-mode", action="store_true", help="require the multi-branch blocks")
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_infer)
 

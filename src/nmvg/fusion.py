@@ -282,7 +282,6 @@ class TmdfParams:
     w_text: np.ndarray
     w_text_bias: np.ndarray
     ape: np.ndarray
-    d: int
 
     def __post_init__(self):
         lpe = np.ascontiguousarray(np.asarray(self.lpe, dtype=np.float32))
@@ -302,8 +301,6 @@ class TmdfParams:
         if ape.ndim != 2 or ape.shape[0] != c:
             raise ShapeError(f"ape must be ({c}, L), got shape {ape.shape}")
         object.__setattr__(self, "ape", ape)
-        if self.d != c:
-            raise ValueError(f"attention scale d ({self.d}) must equal channels ({c})")
 
 
 def tmdf_fuse(
@@ -351,5 +348,5 @@ def tmdf_fuse(
     t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
     kv = maxpool1d(t.astype(np.float32))
 
-    ctx, _ = scaled_attend(q, kv, kv, p.d, normalize=normalize)
+    ctx, _ = scaled_attend(q, kv, kv, c, normalize=normalize)
     return unflatten_spatial(ctx, h, w)

@@ -203,34 +203,21 @@ def decode_boxes(
 
 @dataclass(frozen=True, eq=False)
 class MsRepParams:
-    """One depthwise multi-branch block, in trainable or fused form.
-
-    Trainable form carries the 3x3 and 1x1 conv branches plus an
-    identity branch, each behind its own BN.  Fused form carries the
-    single folded 3x3 depthwise conv and nothing else is used.
+    """One depthwise multi-branch block in trainable form: the 3x3 and 1x1
+    conv branches plus an identity branch, each behind its own BN.  The
+    folded form is the single ConvParams that msrep_fuse returns.
     """
 
-    conv3: ConvParams | None = None
-    bn3: BNParams | None = None
-    conv1: ConvParams | None = None
-    bn1: BNParams | None = None
-    bn_id: BNParams | None = None
-    fused: ConvParams | None = None
-
-    def __post_init__(self):
-        if self.fused is None:
-            missing = [
-                name
-                for name in ("conv3", "bn3", "conv1", "bn1", "bn_id")
-                if getattr(self, name) is None
-            ]
-            if missing:
-                raise ValueError(f"trainable block is missing branches: {missing}")
+    conv3: ConvParams
+    bn3: BNParams
+    conv1: ConvParams
+    bn1: BNParams
+    bn_id: BNParams
 
 
-def msrep_forward(x: FeatureMap, p: MsRepParams) -> FeatureMap:
-    if p.fused is not None:
-        return conv2d(x, p.fused)
+def msrep_forward(x: FeatureMap, p: MsRepParams | ConvParams) -> FeatureMap:
+    if isinstance(p, ConvParams):
+        return conv2d(x, p)
     y3 = conv2d(x, p.conv3, p.bn3)
     y1 = conv2d(x, p.conv1, p.bn1)
     y3 += y1
@@ -247,15 +234,13 @@ def _fold_bn(kernel64: np.ndarray, bias64: np.ndarray | None, bn: BNParams):
     return folded_kernel, folded_bias
 
 
-def msrep_fuse(p: MsRepParams) -> MsRepParams:
+def msrep_fuse(p: MsRepParams) -> ConvParams:
     """Fold the three branches into one 3x3 depthwise conv with bias.
 
     BN folds into each conv branch, the 1x1 kernel zero-pads to 3x3 and
     the identity branch becomes a centered delta kernel; kernels and
-    biases then sum.  Fusing an already fused block is an error.
+    biases then sum.
     """
-    if p.fused is not None:
-        raise ValueError("block is already fused")
     c = p.conv3.out_channels
     if p.conv3.kernel.shape != (c, 1, 3, 3) or p.conv3.groups != c:
         raise ShapeError("fusion expects a depthwise 3x3 branch")
@@ -269,14 +254,13 @@ def msrep_fuse(p: MsRepParams) -> MsRepParams:
     ident[:, 0, 1, 1] = 1.0
     kid, bid = _fold_bn(ident, None, p.bn_id)
 
-    fused = ConvParams(
+    return ConvParams(
         kernel=(k3 + k1 + kid).astype(np.float32),
         bias=(b3 + b1 + bid).astype(np.float32),
         stride=1,
         padding=1,
         groups=c,
     )
-    return MsRepParams(fused=fused)
 
 
 def _bias64(conv: ConvParams) -> np.ndarray | None:
@@ -288,12 +272,13 @@ class ResHeadParams:
     """Coarse-to-fine mask decoder parameters.
 
     entry is a depthwise 1x1 over the coarsest level; blocks hold the
-    multi-branch refiners applied at levels 5, 4 and 3 on the way down;
+    refiners applied at levels 5, 4 and 3 on the way down, each either a
+    trainable MsRepParams or its folded ConvParams;
     proj maps the finest merged map to a single logit channel.
     """
 
     entry: ConvParams
-    blocks: tuple[MsRepParams, MsRepParams, MsRepParams]
+    blocks: tuple[MsRepParams | ConvParams, ...]
     proj: ConvParams
 
 

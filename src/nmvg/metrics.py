@@ -46,7 +46,6 @@ class EvalResult:
     ap50: float
     ap50_95: float
     ar50_95: float
-    miou: float | None = None
 
     def __post_init__(self):
         for name in ("ap50", "ap50_95", "ar50_95"):
@@ -57,8 +56,6 @@ class EvalResult:
             raise ValueError(
                 f"ap50 ({self.ap50}) cannot be below ap50_95 ({self.ap50_95})"
             )
-        if self.miou is not None and not (0.0 <= self.miou <= 100.0):
-            raise ValueError(f"miou must lie in [0, 100], got {self.miou}")
 
 
 def _ap_101(tp_flags: list[bool], total_gt: int) -> float:
@@ -76,11 +73,7 @@ def _ap_101(tp_flags: list[bool], total_gt: int) -> float:
     return ap / 101.0
 
 
-def average_precision(
-    preds_per_sample,
-    gts_per_sample,
-    iou_thresholds=IOU_THRESHOLDS,
-) -> EvalResult:
+def average_precision(preds_per_sample, gts_per_sample) -> EvalResult:
     """Pooled AP50, AP50:95 and AR50:95 over per-sample box lists.
 
     Samples with neither ground truth nor predictions carry no signal and
@@ -107,7 +100,7 @@ def average_precision(
     ious = [[box_iou(pb, gb) for gb in kept[si][1]] for _, si, pb in pool]
 
     aps, recalls = [], []
-    for thresh in iou_thresholds:
+    for thresh in IOU_THRESHOLDS:
         order_flags = []
         # greedy in global score order, matching within each sample
         taken = [[False] * len(g) for _, g in kept]
@@ -126,10 +119,8 @@ def average_precision(
         aps.append(_ap_101(order_flags, total_gt))
         recalls.append(sum(order_flags) / total_gt if total_gt else 0.0)
 
-    by_thresh = dict(zip(iou_thresholds, aps))
-    ap50 = 100.0 * by_thresh.get(0.5, aps[0])
     return EvalResult(
-        ap50=ap50,
+        ap50=100.0 * aps[0],  # IOU_THRESHOLDS[0] is 0.5
         ap50_95=100.0 * float(np.mean(aps)),
         ar50_95=100.0 * float(np.mean(recalls)),
     )

@@ -217,14 +217,15 @@ _MSREP_PREFIXES = ("res.msrep5", "res.msrep4", "res.msrep3")
 _FUSED_KEY = f"{_MSREP_PREFIXES[0]}.fused.kernel"
 
 
-def _msrep(b: _Binder, p: str, f: int | None, fused: bool) -> MsRepParams:
-    """One segmentation block at prefix p, in fused or trainable form.
+def _msrep(b: _Binder, p: str, f: int | None, fused: bool) -> MsRepParams | ConvParams:
+    """One segmentation block at prefix p: the folded conv, or the trainable
+    branches.
 
     The fold has no run configuration and passes f=None: the width is then
     read from the archive's 3x3 branch.
     """
     if fused:
-        return MsRepParams(fused=b.conv(f"{p}.fused", (f, 1, 3, 3), padding=1, groups=f, bias=True))
+        return b.conv(f"{p}.fused", (f, 1, 3, 3), padding=1, groups=f, bias=True)
     if f is None:
         f = b.archive.get(f"{p}.conv3.kernel").shape[0]
     return MsRepParams(
@@ -280,7 +281,6 @@ def _bind(cfg: RunConfig, b: _Binder, fused: bool) -> dict:
             w_text=b.arr(f"{p}.w_text.weight", (c, c)),
             w_text_bias=b.arr(f"{p}.w_text.bias", (c,)),
             ape=sinusoidal_encoding(c, cfg.text_len),
-            d=c,
         )
 
     def fpn() -> FpnParams:
@@ -424,17 +424,9 @@ class Model:
     res_p: ResHeadParams
 
     @classmethod
-    def from_archive(cls, cfg: RunConfig, archive: WeightArchive, mode: str = "auto") -> "Model":
-        if mode not in ("auto", "train", "fused"):
-            raise ValueError(f"mode must be auto, train or fused, got {mode!r}")
-        fused_present = _FUSED_KEY in archive
-        if mode == "auto":
-            mode = "fused" if fused_present else "train"
-        if mode == "fused" and not fused_present:
-            raise ArchiveError("archive holds no fused segmentation blocks; run fuse-rep first")
-        if mode == "train" and fused_present:
-            raise ArchiveError("archive holds fused segmentation blocks; trainable form is gone")
-        return cls(cfg, **_bind(cfg, _Binder(archive), mode == "fused"))
+    def from_archive(cls, cfg: RunConfig, archive: WeightArchive) -> "Model":
+        """Bind the archive; the segmentation blocks bind in the form it holds."""
+        return cls(cfg, **_bind(cfg, _Binder(archive), _FUSED_KEY in archive))
 
     def _check_inputs(self, image, radar, tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
         """The one check of the forward's inputs: image and radar are finite
@@ -518,7 +510,7 @@ def fuse_archive(archive: WeightArchive) -> WeightArchive:
     b = _Binder(archive)
     folded = {}
     for p in _MSREP_PREFIXES:
-        conv = msrep_fuse(_msrep(b, p, None, fused=False)).fused
+        conv = msrep_fuse(_msrep(b, p, None, fused=False))
         # the folded names come from the helper that from_archive binds them with
         names = _Binder()
         _msrep(names, p, conv.out_channels, fused=True)
@@ -546,7 +538,6 @@ def run_infer(
     radar_path: str | Path,
     prompt_path: str | Path,
     out_dir: str | Path,
-    mode: str = "auto",
 ) -> InferResult:
     """Load inputs, run the pipeline once and write boxes + mask files."""
     vocab = load_vocab(cfg.vocab_path) if cfg.vocab_path else list(DEFAULT_VOCAB)
@@ -554,7 +545,7 @@ def run_infer(
         raise ValueError(
             f"vocabulary has {len(vocab)} tokens but the run configuration expects {cfg.text_vocab}"
         )
-    model = Model.from_archive(cfg, archive, mode=mode)
+    model = Model.from_archive(cfg, archive)
     image = read_image(image_path, cfg.input_size)[None]
     radar = read_radar(radar_path, cfg.input_size)[None]
     prompt = Path(prompt_path).read_text(encoding="utf-8")
@@ -582,14 +573,13 @@ def run_infer(
 # ---------------------------------------------------------------------------
 
 
-def generate_fixtures(out_dir: str | Path, cfg: RunConfig, seed: int | None = None) -> dict[str, Path]:
+def generate_fixtures(out_dir: str | Path, cfg: RunConfig) -> dict[str, Path]:
     """Write a self-consistent demo set: weights, inputs, vocab and a trace."""
     from .archive import save_archive  # local import keeps module load light
 
-    seed = cfg.seed if seed is None else seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng((seed, 0xF1C))
+    rng = np.random.default_rng((cfg.seed, 0xF1C))
     side = cfg.input_size
 
     paths = {}
@@ -597,7 +587,7 @@ def generate_fixtures(out_dir: str | Path, cfg: RunConfig, seed: int | None = No
     paths["vocab"] = out / "vocab.txt"
     paths["vocab"].write_text("\n".join(vocab) + "\n", encoding="utf-8")
 
-    archive = generate_archive(replace(cfg, text_vocab=len(vocab)), seed)
+    archive = generate_archive(replace(cfg, text_vocab=len(vocab)))
     paths["weights"] = out / "weights.nmvg"
     save_archive(archive, paths["weights"])
 

@@ -226,7 +226,6 @@ def _toy_tmdf(rng, c=4, side=4, length=6):
         w_text=rng.standard_normal((c, c)).astype(np.float32),
         w_text_bias=np.zeros(c, dtype=np.float32),
         ape=np.zeros((c, length), dtype=np.float32),
-        d=c,
     )
 
 

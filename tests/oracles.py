@@ -270,7 +270,7 @@ def tmdf_ref(f_img, f_radar, f_text, p, normalize=False):
 
     out = np.empty((n, c, h, w))
     for b in range(n):
-        sim = (q[b] @ k) / math.sqrt(p.d)
+        sim = (q[b] @ k) / math.sqrt(c)
         if normalize:
             z = sim - sim.max(axis=1, keepdims=True)
             e = np.exp(z)
@@ -578,7 +578,6 @@ def rand_tmdf(rng, c, h, w, length, *, offset_scale=0.1, scale=1.0):
         w_text=(scale * rng.standard_normal((c, c))).astype(np.float32),
         w_text_bias=(scale * rng.standard_normal(c)).astype(np.float32),
         ape=(scale * rng.standard_normal((c, length))).astype(np.float32),
-        d=c,
     )
 
 

@@ -215,7 +215,7 @@ def test_criterion_4_degenerate_exactness():
         w_img=p3.w_img, w_radar=p3.w_radar, eca=p3.eca, deform=p3.deform,
         lpe=p3.lpe, w_text=p3.w_text,
         w_text_bias=np.zeros(c, dtype=np.float32),
-        ape=np.zeros((c, length), dtype=np.float32), d=c,
+        ape=np.zeros((c, length), dtype=np.float32),
     )
     out = tmdf_fuse(
         rng.standard_normal((1, c, 3, 3)).astype(np.float32),

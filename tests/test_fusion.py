@@ -353,7 +353,7 @@ class TestTmdfFuse:
         p = type(p)(
             w_img=p.w_img, w_radar=p.w_radar, eca=p.eca, deform=p.deform, lpe=p.lpe,
             w_text=p.w_text, w_text_bias=np.zeros(4, dtype=np.float32),
-            ape=np.zeros((4, 8), dtype=np.float32), d=4,
+            ape=np.zeros((4, 8), dtype=np.float32),
         )
         out = tmdf_fuse(
             rng.standard_normal((2, 4, 3, 3)).astype(np.float32),
@@ -385,7 +385,6 @@ class TestTmdfFuse:
             w_text=ident,
             w_text_bias=np.zeros(c, dtype=np.float32),
             ape=np.zeros((c, 3), dtype=np.float32),
-            d=c,
         )
         # image 2s and radar 2s: q = 2 + 0.5*2 = 3 per channel (eca gate 0.5)
         f_img = np.full((1, c, 1, 1), 2.0, dtype=np.float32)
@@ -428,7 +427,7 @@ class TestTmdfFuse:
         coded = (f_text + p.ape).astype(np.float64)
         t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
         kv = maxpool1d(t.astype(np.float32))
-        want = unflatten_spatial(scaled_attend(q, kv, kv, p.d, normalize=normalize)[0], h, w)
+        want = unflatten_spatial(scaled_attend(q, kv, kv, c, normalize=normalize)[0], h, w)
         assert all(np.array_equal(a, b) for a, b in zip(frozen, (f_img, f_radar, f_text)))
         assert np.array_equal(p.lpe, lpe)
         assert np.array_equal(got, want)
@@ -448,7 +447,7 @@ class TestTmdfFuse:
             w_img=shared, w_radar=shared,
             eca=EcaParams(weights=np.array([0.0, 1000.0, 0.0], dtype=np.float32)),
             deform=p.deform, lpe=np.zeros((1, c, h, w), dtype=np.float32),
-            w_text=p.w_text, w_text_bias=p.w_text_bias, ape=p.ape, d=c,
+            w_text=p.w_text, w_text_bias=p.w_text_bias, ape=p.ape,
         )
         # positive features keep the pooled channel means positive, so the
         # saturated gate really is 1 rather than 0
@@ -526,7 +525,7 @@ def _tmdf_ref_scaled_v(f_img, f_radar, f_text, p, v_scale):
     out = np.empty((n, c, h, w))
     for b in range(n):
         q = q_grid[b].reshape(c, -1).T
-        sim = (q @ pooled) / math.sqrt(p.d)
+        sim = (q @ pooled) / math.sqrt(c)
         ctx = sim @ (v_scale * pooled).T
         out[b] = ctx.T.reshape(c, h, w)
     return out

@@ -245,7 +245,7 @@ class TestMsRep:
     def test_train_mode_sums_three_branches(self):
         rng = np.random.default_rng(10)
         p = rand_msrep(rng, 4)
-        assert p.fused is None
+        assert isinstance(p, MsRepParams)
         x = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
         from nmvg.tensor import batchnorm_inference, conv2d
 
@@ -262,20 +262,15 @@ class TestMsRep:
         c = int(rng.integers(1, 9))
         p = rand_msrep(rng, c)
         fused = msrep_fuse(p)
-        assert fused.fused is not None
+        assert isinstance(fused, ConvParams)
         x = rng.standard_normal((2, c, 7, 7)).astype(np.float32)
         np.testing.assert_allclose(
             msrep_forward(x, fused), msrep_forward(x, p), atol=1e-5
         )
 
-    def test_fuse_twice_rejected(self):
-        p = msrep_fuse(rand_msrep(np.random.default_rng(30), 2))
-        with pytest.raises(ValueError, match="already fused"):
-            msrep_fuse(p)
-
     def test_incomplete_branches_rejected(self):
         rng = np.random.default_rng(31)
-        with pytest.raises(ValueError, match="bn1"):
+        with pytest.raises(TypeError, match="bn1"):
             MsRepParams(
                 conv3=rand_conv(rng, 2, 1, 3, 3, padding=1, groups=2),
                 bn3=rand_bn(rng, 2),

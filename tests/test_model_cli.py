@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import hashlib
 import os
@@ -24,7 +25,7 @@ from nmvg.archive import (
     load_archive,
     save_archive,
 )
-from nmvg.cli import main
+from nmvg.cli import build_parser, main
 from nmvg.encoders import TokenSequence, tokenize
 from nmvg.losses import LossConfig
 from nmvg.model import (
@@ -48,8 +49,8 @@ from nmvg.rasters import (
     write_mask,
     write_ppm,
 )
-from nmvg.heads import DetectionBox
-from nmvg.tensor import ShapeError
+from nmvg.heads import DetectionBox, MsRepParams
+from nmvg.tensor import ConvParams, ShapeError
 
 
 SMALL = RunConfig(input_size=64, seed=11)
@@ -237,14 +238,20 @@ class TestModelBinding:
         with pytest.raises(ArchiveError, match="fpn.lateral2.kernel"):
             Model.from_archive(SMALL, broken)
 
-    def test_train_mode_on_fused_archive_rejected(self, small_archive):
-        fused = fuse_archive(small_archive)
-        with pytest.raises(ArchiveError):
-            Model.from_archive(SMALL, fused, mode="train")
+    def test_archive_form_picks_block_type(self, small_archive):
+        trainable = Model.from_archive(SMALL, small_archive).res_p.blocks
+        folded = Model.from_archive(SMALL, fuse_archive(small_archive)).res_p.blocks
+        assert all(isinstance(block, MsRepParams) for block in trainable)
+        assert all(isinstance(block, ConvParams) for block in folded)
 
-    def test_fused_mode_on_train_archive_rejected(self, small_archive):
-        with pytest.raises(ArchiveError):
-            Model.from_archive(SMALL, small_archive, mode="fused")
+    def test_half_folded_archive_names_missing_block(self, small_archive):
+        """Only res.msrep5 folded: the archive reads as folded, so the bind
+        asks for the next block's folded kernel and finds none."""
+        fused = fuse_archive(small_archive)
+        entries = {k: v for k, v in small_archive.entries.items() if not k.startswith("res.msrep5.")}
+        entries.update({k: fused.get(k) for k in ("res.msrep5.fused.kernel", "res.msrep5.fused.bias")})
+        with pytest.raises(MissingParameterError, match="res.msrep4.fused.kernel"):
+            Model.from_archive(SMALL, WeightArchive(entries=entries))
 
     def test_non_finite_weight_rejected_at_bind(self, small_archive):
         """The archive rejects the entry when it is built, so no bind sees it."""
@@ -540,7 +547,7 @@ class TestFuseArchive:
         a = run_infer(cfg, train_arch, fixture_dir / "image.ppm", fixture_dir / "radar.f32",
                       fixture_dir / "prompt.txt", tmp_path / "train")
         b = run_infer(cfg, fused_arch, fixture_dir / "image.ppm", fixture_dir / "radar.f32",
-                      fixture_dir / "prompt.txt", tmp_path / "fused", mode="fused")
+                      fixture_dir / "prompt.txt", tmp_path / "fused")
         assert len(a.boxes) == len(b.boxes)
         for x, y in zip(a.boxes, b.boxes):
             assert (x.cx, x.cy, x.w, x.h) == pytest.approx((y.cx, y.cy, y.w, y.h), abs=1e-2)
@@ -644,6 +651,22 @@ class TestCli:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_infer_fused_flag_is_unknown(self, fixture_dir, tmp_path, capsys):
+        """The archive alone picks the segmentation blocks' form."""
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--fused")) == 1
+        assert "unrecognized arguments: --fused" in capsys.readouterr().err
+
+    def test_gen_fixtures_seed_flag(self, tmp_path):
+        assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--size", "64", "--seed", "5"]) == 0
+        save_archive(generate_archive(RunConfig(input_size=64, seed=5)), tmp_path / "want.nmvg")
+        assert filecmp.cmp(tmp_path / "fix" / "weights.nmvg", tmp_path / "want.nmvg", shallow=False)
+
+    def test_gen_fixtures_seed_flag_overrides_config(self, fixture_dir, tmp_path):
+        config = str(fixture_dir / "run.cfg")
+        assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--config", config, "--seed", "5"]) == 0
+        save_archive(generate_archive(RunConfig.from_file(config, seed=5)), tmp_path / "want.nmvg")
+        assert filecmp.cmp(tmp_path / "fix" / "weights.nmvg", tmp_path / "want.nmvg", shallow=False)
 
     def test_gen_fixtures_then_infer(self, tmp_path, capsys):
         fix = tmp_path / "fix"
@@ -895,6 +918,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"{name} must be finite, got {value}" in captured.err
         assert "checks passed" not in captured.out
+
+
+class TestOptionSurface:
+    """The pinned option surface: a new flag or config field has to be added
+    here in the same change, so it is seen in review."""
+
+    FLAGS = {
+        "infer": {
+            "--weights", "--image", "--radar", "--prompt", "--out-dir", "--config", "--topk",
+            "--score-thresh", "--mask-thresh", "--attention-normalize", "--seed", "--vocab",
+        },
+        "fuse-rep": {"src", "dst"},
+        "eval": {"--pred-boxes", "--gt-boxes", "--pred-mask", "--gt-mask"},
+        "mept": {"--trace", "--perf", "--tau"},
+        "selftest": {"--loss-config"},
+        "gen-fixtures": {"--out-dir", "--config", "--size", "--seed"},
+    }
+
+    def test_subcommand_flags_pinned(self):
+        (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {s for a in p._actions for s in (a.option_strings or [a.dest])} - {"-h", "--help"}
+            for name, p in commands.items()
+        }
+        assert got == self.FLAGS
+
+    def test_run_config_fields_pinned(self):
+        assert list(RunConfig.__dataclass_fields__) == [
+            "input_size", "stage_channels", "fpn_channels", "embed_dim", "text_vocab", "text_len",
+            "attention_normalize", "head_scale", "topk", "score_thresh", "mask_thresh", "seed", "vocab_path",
+        ]
 
 
 class TestConfigDocs:
