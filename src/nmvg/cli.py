@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -28,34 +27,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(p: _Parser) -> None:
-    p.add_argument("--config", help="key = value run configuration file")
-    p.add_argument("--topk", type=int, help="maximum boxes to emit")
-    p.add_argument("--score-thresh", type=float, help="minimum box confidence")
-    p.add_argument("--mask-thresh", type=float, help="mask logit cut, foreground is strictly above")
-    p.add_argument(
-        "--attention-normalize",
-        action="store_const",
-        const=True,
-        help="softmax the text similarity rows before attending",
-    )
-    p.add_argument("--seed", type=int, help="seed for generated weights and fixtures")
-    p.add_argument("--vocab", dest="vocab_path", help="one token per line, id 0 is <pad>")
-
-
 def _build_config(args) -> RunConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "topk",
-            "score_thresh",
-            "mask_thresh",
-            "attention_normalize",
-            "seed",
-            "vocab_path",
-        )
-        if getattr(args, key, None) is not None
-    }
+    keys = ("topk", "score_thresh", "mask_thresh", "attention_normalize", "vocab_path")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if args.config:
         return RunConfig.from_file(args.config, **overrides)
     return RunConfig(**overrides)
@@ -134,7 +108,17 @@ def build_parser() -> _Parser:
     p.add_argument("--radar", required=True, help="raster or raw float32 planes at the configured size")
     p.add_argument("--prompt", required=True, help="text file with the grounding phrase")
     p.add_argument("--out-dir", default="out", help="directory for boxes.txt and mask.pgm")
-    _add_config_flags(p)
+    p.add_argument("--config", help="key = value run configuration file")
+    p.add_argument("--topk", type=int, help="maximum boxes to emit")
+    p.add_argument("--score-thresh", type=float, help="minimum box confidence")
+    p.add_argument("--mask-thresh", type=float, help="mask logit cut, foreground is strictly above")
+    p.add_argument(
+        "--attention-normalize",
+        action="store_const",
+        const=True,
+        help="softmax the text similarity rows before attending",
+    )
+    p.add_argument("--vocab", dest="vocab_path", help="one token per line, id 0 is <pad>")
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("fuse-rep", help="fold multi-branch segmentation blocks into single convs")

@@ -61,8 +61,10 @@ def tokenize(text: str, vocab: Sequence[str], length: int = 50) -> TokenSequence
     """Whitespace-split, lowercase, look up ids, pad or truncate to length.
 
     Id 0 is reserved for padding.  Words missing from the vocabulary are
-    rejected rather than silently remapped.
+    rejected rather than silently remapped, and so is a length below 1.
     """
+    if length < 1:
+        raise ValueError(f"token length must be >= 1, got {length}")
     index = {tok: i for i, tok in enumerate(vocab)}
     ids = []
     for word in text.lower().split():

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .tensor import ConvParams, FeatureMap, ShapeError, _upsample2_add, conv2d
+from .tensor import ConvParams, FeatureMap, ShapeError, _pyramid, _upsample2_add, conv2d
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,14 +28,7 @@ def fpn_forward(stages: list[FeatureMap], p: FpnParams) -> list[FeatureMap]:
     Input is [c2, c3, c4, c5] fine-to-coarse with strictly halving spatial
     dims; output is [s2, s3, s4, s5] at the shared channel width.
     """
-    if len(stages) != 4:
-        raise ShapeError(f"fpn expects four stages, got {len(stages)}")
-    maps = [np.asarray(s, dtype=np.float32) for s in stages]
-    for a, b in zip(maps, maps[1:]):
-        if a.shape[2] != 2 * b.shape[2] or a.shape[3] != 2 * b.shape[3]:
-            raise ShapeError(
-                f"stage dims must halve level to level, got {a.shape[2:]} then {b.shape[2:]}"
-            )
+    maps = _pyramid(stages, "fpn")
     # Coarse to fine; each lateral conv output takes the coarser sum in place.
     tops = [conv2d(maps[3], p.lateral[3])]
     for i in (2, 1, 0):

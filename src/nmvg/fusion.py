@@ -34,6 +34,7 @@ from .tensor import (
     ShapeError,
     _contract_rows,
     _emitter,
+    _out_extent,
     _sigmoid,
     conv2d,
     global_avg_pool,
@@ -116,8 +117,7 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
         raise ShapeError(f"input has {c_in} channels, main kernel expects {main.in_channels}")
     co, cg, kh, kw = main.kernel.shape
     taps = kh * kw
-    ho = (h + 2 * main.padding - kh) // main.stride + 1
-    wo = (w + 2 * main.padding - kw) // main.stride + 1
+    ho, wo = _out_extent(main, h, w)
     if offsets.shape[2:] != (ho, wo):
         raise ShapeError(
             f"offset grid {offsets.shape[2:]} does not match conv output {(ho, wo)}"
@@ -239,34 +239,25 @@ def _softmax_rows(sim: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def scaled_attend(
-    q: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    d: int,
-    normalize: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def scaled_attend(q: np.ndarray, kv: np.ndarray, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Similarity attention over pooled text tokens.
 
-    q is (N, P, C); keys and values are (C, L').  Returns the attended
-    context (N, P, C) and the similarity map (N, P, L').  The similarity
-    is Q K / sqrt(d); rows are softmaxed only when normalize is set.
+    q is (N, P, C); kv is (C, L'), the pooled text, which serves as both
+    the keys and the values.  Returns the attended context (N, P, C) and
+    the similarity map (N, P, L').  The similarity is Q K / sqrt(C); rows
+    are softmaxed only when normalize is set.
     """
     q = np.asarray(q, dtype=np.float32)
-    keys = np.asarray(keys, dtype=np.float32)
-    values = np.asarray(values, dtype=np.float32)
-    if q.ndim != 3 or keys.ndim != 2 or values.ndim != 2:
-        raise ShapeError("scaled_attend expects q (N,P,C) and keys/values (C,L')")
-    if q.shape[2] != keys.shape[0] or keys.shape != values.shape:
-        raise ShapeError(
-            f"channel mismatch: q {q.shape}, keys {keys.shape}, values {values.shape}"
-        )
-    if d < 1:
-        raise ValueError(f"attention scale dimension must be positive, got {d}")
-    sim = (q.astype(np.float64) @ keys.astype(np.float64)) / np.sqrt(float(d))
+    kv = np.asarray(kv, dtype=np.float32)
+    if q.ndim != 3 or kv.ndim != 2:
+        raise ShapeError(f"scaled_attend expects q (N,P,C) and kv (C,L'), got {q.shape} and {kv.shape}")
+    if q.shape[2] != kv.shape[0]:
+        raise ShapeError(f"channel mismatch: q {q.shape}, kv {kv.shape}")
+    kv64 = kv.astype(np.float64)
+    sim = (q.astype(np.float64) @ kv64) / np.sqrt(float(kv.shape[0]))
     if normalize:
         sim = _softmax_rows(sim)
-    ctx = sim @ values.astype(np.float64).T
+    ctx = sim @ kv64.T
     return ctx.astype(np.float32), sim.astype(np.float32)
 
 
@@ -348,5 +339,5 @@ def tmdf_fuse(
     t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
     kv = maxpool1d(t.astype(np.float32))
 
-    ctx, _ = scaled_attend(q, kv, kv, c, normalize=normalize)
+    ctx, _ = scaled_attend(q, kv, normalize=normalize)
     return unflatten_spatial(ctx, h, w)

@@ -25,6 +25,7 @@ from .tensor import (
     FeatureMap,
     ShapeError,
     _activate,
+    _pyramid,
     _upsample2_add,
     batchnorm_inference,
     conv2d,
@@ -161,10 +162,16 @@ def decode_boxes(
     """Pick up to k heatmap peaks and lift them to image-plane boxes.
 
     A peak at cell (row, col) with offset (ox, oy) and size (sw, sh)
-    becomes cx=(col+ox)*r, cy=(row+oy)*r, w=sw*r, h=sh*r.
+    becomes cx=(col+ox)*r, cy=(row+oy)*r, w=sw*r, h=sh*r; a side below
+    MIN_BOX_SIDE (a zero or negative size) is raised to it.  ValueError
+    unless k and r are positive and score_thresh and the heatmap finite.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if not r > 0:
+        raise ValueError(f"downsample ratio r must be positive, got {r}")
+    if not np.isfinite(score_thresh):
+        raise ValueError(f"score_thresh must be finite, got {score_thresh}")
     heat = _plane(heatmap, 1, "heatmap")
     wh = _plane(sizes, 2, "size map")
     off = _plane(offsets, 2, "offset map")
@@ -172,6 +179,8 @@ def decode_boxes(
         raise ShapeError(
             f"map extents disagree: heat {heat.shape}, sizes {wh.shape[1:]}, offsets {off.shape[1:]}"
         )
+    if not np.isfinite(heat).all():
+        raise ValueError("heatmap holds non-finite values")
     h, w = heat.shape
     keep = _peak_mask(heat) & (heat >= np.float32(score_thresh))
     idx = np.flatnonzero(keep)
@@ -296,14 +305,7 @@ def res_head_forward(
     and upsamples bilinearly to the requested image size.  Foreground is
     logit strictly greater than the threshold.
     """
-    if len(pyramid) != 4:
-        raise ShapeError(f"segmentation head expects four levels, got {len(pyramid)}")
-    maps = [np.asarray(m, dtype=np.float32) for m in pyramid]
-    for a, b in zip(maps, maps[1:]):
-        if a.shape[2] != 2 * b.shape[2] or a.shape[3] != 2 * b.shape[3]:
-            raise ShapeError(
-                f"pyramid dims must halve level to level, got {a.shape[2:]} then {b.shape[2:]}"
-            )
+    maps = _pyramid(pyramid, "segmentation head")
     d = conv2d(maps[3], p.entry)
     for finer, block in zip((maps[2], maps[1], maps[0]), p.blocks):
         merged = msrep_forward(d, block)  # a new map, so the glue runs in place

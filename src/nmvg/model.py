@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -120,7 +121,6 @@ class RunConfig:
     stage_channels: tuple[int, int, int, int] = (16, 32, 64, 96)
     fpn_channels: int = 64
     embed_dim: int = 64
-    text_vocab: int = len(DEFAULT_VOCAB)
     text_len: int = 50
     attention_normalize: bool = False
     head_scale: int = 2
@@ -142,9 +142,10 @@ class RunConfig:
             raise ValueError(f"stage channels must be positive, got {ch}")
         if any(ch[i + 1] < ch[i] for i in range(3)):
             raise ValueError(f"stage channels must be non-decreasing, got {ch}")
-        for name in ("fpn_channels", "embed_dim", "text_vocab", "text_len", "topk"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # text_len covers at least one k3/s2 text pooling window
+        for name, low in (("fpn_channels", 1), ("embed_dim", 1), ("text_len", 3), ("topk", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.head_scale not in (2, 3, 4, 5):
             raise ValueError(f"head_scale must be one of 2..5, got {self.head_scale}")
         for name in ("score_thresh", "mask_thresh"):
@@ -152,6 +153,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @cached_property
+    def vocab(self) -> tuple[str, ...]:
+        """The token list, read once: DEFAULT_VOCAB or the vocab_path file.
+        Its length is the row count of the token table."""
+        return tuple(load_vocab(self.vocab_path)) if self.vocab_path else DEFAULT_VOCAB
 
     def stage_size(self, i: int) -> int:
         return self.input_size // (4 * (1 << i))
@@ -327,7 +334,7 @@ def _bind(cfg: RunConfig, b: _Binder, fused: bool) -> dict:
             stem_bn=b.bn("radar_enc.stem.bn", 3),
             stages=tuple(radar_stage(i) for i in range(4)),
         ),
-        text_p=TextEncoderParams(embedding=b.arr("text_enc.embedding", (cfg.text_vocab, e))),
+        text_p=TextEncoderParams(embedding=b.arr("text_enc.embedding", (len(cfg.vocab), e))),
         adapters=tuple(
             (b.arr(f"text_adapt.stage{i}.weight", (ch[i], e)), b.arr(f"text_adapt.stage{i}.bias", (ch[i],)))
             for i in range(4)
@@ -539,17 +546,13 @@ def run_infer(
     prompt_path: str | Path,
     out_dir: str | Path,
 ) -> InferResult:
-    """Load inputs, run the pipeline once and write boxes + mask files."""
-    vocab = load_vocab(cfg.vocab_path) if cfg.vocab_path else list(DEFAULT_VOCAB)
-    if len(vocab) != cfg.text_vocab:
-        raise ValueError(
-            f"vocabulary has {len(vocab)} tokens but the run configuration expects {cfg.text_vocab}"
-        )
+    """Load inputs, run the pipeline once and write boxes + mask files. An
+    archive without one token table row per word of cfg.vocab fails to bind."""
     model = Model.from_archive(cfg, archive)
     image = read_image(image_path, cfg.input_size)[None]
     radar = read_radar(radar_path, cfg.input_size)[None]
     prompt = Path(prompt_path).read_text(encoding="utf-8")
-    tokens = tokenize(prompt, vocab, cfg.text_len)
+    tokens = tokenize(prompt, cfg.vocab, cfg.text_len)
     out = model.forward(image, radar, tokens)
     boxes = decode_boxes(
         out.heatmap[0],
@@ -583,11 +586,10 @@ def generate_fixtures(out_dir: str | Path, cfg: RunConfig) -> dict[str, Path]:
     side = cfg.input_size
 
     paths = {}
-    vocab = list(DEFAULT_VOCAB)
     paths["vocab"] = out / "vocab.txt"
-    paths["vocab"].write_text("\n".join(vocab) + "\n", encoding="utf-8")
+    paths["vocab"].write_text("\n".join(cfg.vocab) + "\n", encoding="utf-8")
 
-    archive = generate_archive(replace(cfg, text_vocab=len(vocab)))
+    archive = generate_archive(cfg)
     paths["weights"] = out / "weights.nmvg"
     save_archive(archive, paths["weights"])
 
@@ -608,8 +610,9 @@ def generate_fixtures(out_dir: str | Path, cfg: RunConfig) -> dict[str, Path]:
                 "stage_channels = " + ",".join(str(c) for c in cfg.stage_channels),
                 f"fpn_channels = {cfg.fpn_channels}",
                 f"embed_dim = {cfg.embed_dim}",
-                f"text_vocab = {len(vocab)}",
                 f"score_thresh = {cfg.score_thresh}",
+                # the archive's token table has one row per word of this file
+                *([f"vocab_path = {paths['vocab'].resolve()}"] if cfg.vocab_path else []),
             ]
         )
         + "\n",

@@ -23,7 +23,6 @@ from .fusion import (
     deform_conv,
     eca,
     scaled_attend,
-    sinusoidal_encoding,
     tmdf_fuse,
 )
 from .heads import MsRepParams, decode_boxes, msrep_forward, msrep_fuse
@@ -197,8 +196,8 @@ def check_deform_degenerate():
 def check_attention_scale():
     q = np.ones((1, 1, 4), dtype=np.float32)
     kv = np.ones((4, 3), dtype=np.float32)
-    ctx, sim = scaled_attend(q, kv, kv, d=4)
-    _assert_close(sim, 2.0, 1e-6, "similarity q.k/sqrt(d)")
+    ctx, sim = scaled_attend(q, kv)
+    _assert_close(sim, 2.0, 1e-6, "similarity q.k/sqrt(C)")
     _assert_close(ctx, 6.0, 1e-6, "attended context")
 
 

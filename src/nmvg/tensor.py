@@ -70,6 +70,8 @@ _TILE = 1 << 18
 # per-channel operand is broadcast over runs shorter than the buffer runs
 # 2-3.5x slower per element, so the tiles use a buffer below their runs.
 _BUFSIZE = 512
+# The text pooling window of maxpool1d: kernel 3, stride 2.
+_POOL_KERNEL, _POOL_STRIDE = 3, 2
 
 # A conv runs its tiles on up to one thread per core: the calling thread and
 # the _CORES - 1 threads of _pool().
@@ -201,8 +203,8 @@ class BNParams:
         lengths = {a.shape[0] for a in arrs.values()}
         if len(lengths) != 1:
             raise ShapeError(f"batchnorm fields disagree on channel count: {sorted(lengths)}")
-        if (arrs["running_var"] < 0).any():
-            raise ValueError("running_var contains negative entries")
+        if not (arrs["running_var"] >= 0).all():  # also false for NaN
+            raise ValueError("running_var contains negative or NaN entries")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         for name, a in arrs.items():
@@ -266,12 +268,10 @@ def conv2d(
             f"spatial dims {(h, w)} too small for kernel {(kh, kw)} at padding {p.padding}"
         )
     s = p.stride
-    ho = (h + 2 * p.padding - kh) // s + 1
-    wo = (w + 2 * p.padding - kw) // s + 1
+    ho, wo = _out_extent(p, h, w)
     out = _conv_out(x, p, (n, co, ho, wo), out, hook)
     make_emit = _emitter(out, co, bn, act, hook)
-    # Plane columns: the output columns plus the spare ones a tap reads.
-    wq = wo + (kw - 1) // s
+    _, wq = _plane_extent(x, p, 0)
     if p.groups != c:
         # A block of about _TILE plane elements serves every column tile in
         # it, so the rows a tap reads beyond a tile are built once a block.
@@ -366,37 +366,51 @@ def _conv_out(x: np.ndarray, p: ConvParams, shape: tuple, out, hook) -> np.ndarr
     return out
 
 
+def _out_extent(p: ConvParams, h: int, w: int) -> tuple[int, int]:
+    """Output rows and columns of conv ``p`` over an h x w input."""
+    _, _, kh, kw = p.kernel.shape
+    return (h + 2 * p.padding - kh) // p.stride + 1, (w + 2 * p.padding - kw) // p.stride + 1
+
+
+def _plane_extent(x: np.ndarray, p: ConvParams, rows: int) -> tuple[int, int]:
+    """Rows and columns of the stride-phase planes (``_planes``) that serve
+    ``rows`` output rows of conv ``p`` over ``x``: those rows, the halo the
+    taps read below them and one row more when the last flat tap slice of
+    the depthwise path runs past them; and W_out + (k_w - 1) // stride."""
+    _, _, kh, kw = p.kernel.shape
+    s = p.stride
+    wq = _out_extent(p, *x.shape[2:])[1] + (kw - 1) // s
+    return rows + (kh - 1) // s + ((kw - 1) // s > 0), wq
+
+
 def _plane_buffer(x: np.ndarray, p: ConvParams, rows: int, dtype) -> np.ndarray:
     """An empty buffer that holds ``_planes(x, p, r0, r1, buf)`` for any
     r1 - r0 <= rows; empty when those planes are a view of ``x``."""
-    n, c, _, w = x.shape
+    n, c, _, _ = x.shape
     _, _, kh, kw = p.kernel.shape
-    s, pad = p.stride, p.padding
-    if kh == kw == s == 1 and pad == 0:
+    s = p.stride
+    if kh == kw == s == 1 and p.padding == 0:
         return np.empty(0, dtype=dtype)
-    wq = (w + 2 * pad - kw) // s + 1 + (kw - 1) // s
-    return np.empty(n * c * s * s * (rows + (kh - 1) // s + ((kw - 1) // s > 0)) * wq, dtype)
+    halo_rows, wq = _plane_extent(x, p, rows)
+    return np.empty(n * c * s * s * halo_rows * wq, dtype)
 
 
 def _planes(x: np.ndarray, p: ConvParams, r0: int, r1: int, buf: np.ndarray) -> np.ndarray:
     """The zero-padded input of conv ``p`` over output rows r0:r1, split
     into stride-phase planes in a view of ``buf`` (see ``_plane_buffer``).
 
-    The planes are (N, C, stride**2, rows, wq): plane a * stride + b holds
-    padded rows (r0 + t) * stride + a and columns u * stride + b, with
-    wq = W_out + (k_w - 1) // stride.  rows covers every row a tap of
-    those output rows reads, plus one row when the last flat tap slice of
-    ``conv2d``'s depthwise path runs past them.  Only the border strips
-    around the copied input are zeroed.  An unpadded stride-1 1x1 conv
-    gets a view of ``x`` (float32) and no copy.
+    The planes are (N, C, stride**2, rows, wq) with (rows, wq) from
+    ``_plane_extent``: plane a * stride + b holds padded rows
+    (r0 + t) * stride + a and columns u * stride + b.  Only the border
+    strips around the copied input are zeroed.  An unpadded stride-1 1x1
+    conv gets a view of ``x`` (float32) and no copy.
     """
     n, c, h, w = x.shape
     _, _, kh, kw = p.kernel.shape
     s, pad = p.stride, p.padding
     if kh == kw == s == 1 and pad == 0:
         return x[:, :, None, r0:r1]
-    wq = (w + 2 * pad - kw) // s + 1 + (kw - 1) // s
-    rows = r1 - r0 + (kh - 1) // s + ((kw - 1) // s > 0)
+    rows, wq = _plane_extent(x, p, r1 - r0)
     planes = buf[: n * c * s * s * rows * wq].reshape(n, c, s * s, rows, wq)
     for a in range(s):
         # Plane rows t_lo:t_hi and columns u_lo:u_hi hold input pixels.
@@ -631,21 +645,19 @@ def activation(x: np.ndarray, kind: ActivationKind) -> np.ndarray:
     return _activate(np.asarray(x, dtype=np.float32), kind)
 
 
-def maxpool1d(x: np.ndarray, kernel: int = 3, stride: int = 2) -> np.ndarray:
-    """Max pooling over the last axis of a (C, L) or (N, C, L) array.
-
-    Output length is floor((L - kernel) / stride) + 1; no padding.
+def maxpool1d(x: np.ndarray) -> np.ndarray:
+    """Max pooling over the last axis of a (C, L) or (N, C, L) array with
+    the paper's unpadded window of 3 at stride 2 (``_POOL_KERNEL``,
+    ``_POOL_STRIDE``), so the output length is floor((L - 3) / 2) + 1.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim not in (2, 3):
         raise ShapeError(f"maxpool1d expects (C, L) or (N, C, L), got shape {x.shape}")
-    if kernel < 1 or stride < 1:
-        raise ShapeError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
-    if x.shape[-1] < kernel:
+    if x.shape[-1] < _POOL_KERNEL:
         raise ShapeError(
-            f"sequence length {x.shape[-1]} is shorter than the pooling window {kernel}"
+            f"sequence length {x.shape[-1]} is shorter than the pooling window {_POOL_KERNEL}"
         )
-    win = sliding_window_view(x, kernel, axis=-1)[..., ::stride, :]
+    win = sliding_window_view(x, _POOL_KERNEL, axis=-1)[..., ::_POOL_STRIDE, :]
     return win.max(axis=-1)
 
 
@@ -680,6 +692,18 @@ def _upsample2_add(fine: np.ndarray, coarse: np.ndarray, in_place: bool = False)
     pairs = fine.reshape(n, c, h, 2, 2 * w)
     cols = np.repeat(coarse, 2, axis=3)[:, :, :, None]
     return np.add(pairs, cols, out=pairs if in_place else None).reshape(n, c, 2 * h, 2 * w)
+
+
+def _pyramid(levels: list, what: str) -> list[np.ndarray]:
+    """The four levels of a pyramid, fine to coarse, as float32 maps; each
+    must have half the rows and columns of the one before it."""
+    if len(levels) != 4:
+        raise ShapeError(f"{what} expects four levels, got {len(levels)}")
+    maps = [np.asarray(m, dtype=np.float32) for m in levels]
+    for a, b in zip(maps, maps[1:]):
+        if a.shape[2] != 2 * b.shape[2] or a.shape[3] != 2 * b.shape[3]:
+            raise ShapeError(f"{what} level dims must halve level to level, got {a.shape[2:]} then {b.shape[2:]}")
+    return maps
 
 
 def upsample(x: FeatureMap, factor: int) -> FeatureMap:

@@ -40,8 +40,8 @@ class TestConfig:
         [
             ("stage_channels", (16, 32, 64), "exactly four"),
             ("stage_channels", (0, 32, 64, 96), "must be positive"),
-            ("text_vocab", 0, "text_vocab"),
             ("text_len", 0, "text_len"),
+            ("text_len", 2, "text_len must be >= 3"),
             ("embed_dim", 0, "embed_dim"),
         ],
     )
@@ -72,6 +72,11 @@ class TestTokenize:
         toks = tokenize("   ", VOCAB, 5)
         assert list(toks.ids) == [0] * 5
         assert toks.padding_mask.all()
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_rejected(self, length):
+        with pytest.raises(ValueError, match="token length must be >= 1"):
+            tokenize("the vessel", VOCAB, length)
 
     def test_load_vocab_roundtrip(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -161,8 +166,8 @@ class TestTextEncoder:
         """Ids are checked once, by Model.forward, against the bound table."""
         cfg, model = small_model
         ids = np.zeros(cfg.text_len, dtype=np.int64)
-        ids[1] = cfg.text_vocab + 9
+        ids[1] = len(cfg.vocab) + 9
         toks = TokenSequence(ids=ids, padding_mask=ids == 0)
         x = np.zeros((1, 3, 64, 64), dtype=np.float32)
-        with pytest.raises(ValueError, match=f"token id {cfg.text_vocab + 9}"):
+        with pytest.raises(ValueError, match=f"token id {len(cfg.vocab) + 9}"):
             model.forward(x, x, toks)

@@ -325,7 +325,7 @@ class TestScaledAttend:
         d = 9
         q = np.ones((1, 1, d), dtype=np.float32)
         kv = np.concatenate([np.ones((d, 1)), 2 * np.ones((d, 1))], axis=1).astype(np.float32)
-        ctx, sim = scaled_attend(q, kv, kv, d=d)
+        ctx, sim = scaled_attend(q, kv)
         np.testing.assert_allclose(sim[0, 0], [3.0, 6.0], atol=1e-6)
         np.testing.assert_allclose(ctx[0, 0], 3.0 * kv[:, 0] + 6.0 * kv[:, 1], atol=1e-5)
 
@@ -333,17 +333,12 @@ class TestScaledAttend:
         rng = np.random.default_rng(4)
         q = rng.standard_normal((2, 5, 4)).astype(np.float32)
         kv = rng.standard_normal((4, 3)).astype(np.float32)
-        _, sim = scaled_attend(q, kv, kv, d=4, normalize=True)
+        _, sim = scaled_attend(q, kv, normalize=True)
         np.testing.assert_allclose(sim.sum(axis=2), 1.0, atol=1e-5)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            scaled_attend(
-                np.zeros((1, 2, 3), dtype=np.float32),
-                np.zeros((4, 2), dtype=np.float32),
-                np.zeros((4, 2), dtype=np.float32),
-                d=3,
-            )
+            scaled_attend(np.zeros((1, 2, 3), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
 
 
 class TestTmdfFuse:
@@ -427,7 +422,7 @@ class TestTmdfFuse:
         coded = (f_text + p.ape).astype(np.float64)
         t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
         kv = maxpool1d(t.astype(np.float32))
-        want = unflatten_spatial(scaled_attend(q, kv, kv, c, normalize=normalize)[0], h, w)
+        want = unflatten_spatial(scaled_attend(q, kv, normalize=normalize)[0], h, w)
         assert all(np.array_equal(a, b) for a, b in zip(frozen, (f_img, f_radar, f_text)))
         assert np.array_equal(p.lpe, lpe)
         assert np.array_equal(got, want)

@@ -216,6 +216,23 @@ class TestDecodeBoxes:
         with pytest.raises(ValueError):
             decode_boxes(heat, wh, off, r=4, k=0, score_thresh=0.5)
 
+    @pytest.mark.parametrize(
+        "r,score_thresh,cell,message",
+        [
+            (0, 0.5, 0.5, "ratio r must be positive"),
+            (-4, 0.5, 0.5, "ratio r must be positive"),
+            (4, np.nan, 0.5, "score_thresh must be finite"),
+            (4, np.inf, 0.5, "score_thresh must be finite"),
+            (4, 0.5, np.nan, "heatmap holds non-finite values"),
+            (4, 0.5, np.inf, "heatmap holds non-finite values"),
+        ],
+    )
+    def test_bad_argument_rejected(self, r, score_thresh, cell, message):
+        heat, wh, off = _maps(seed=5)
+        heat[3, 4] = cell
+        with pytest.raises(ValueError, match=message):
+            decode_boxes(heat, wh, off, r=r, k=5, score_thresh=score_thresh)
+
     def test_extent_mismatch_rejected(self):
         heat, wh, off = _maps(seed=6)
         with pytest.raises(ShapeError):

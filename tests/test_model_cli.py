@@ -113,6 +113,7 @@ class TestRunConfig:
         [
             ("score_thresh = nan", "score_thresh must be finite"),
             ("fpn_channels = 0", "fpn_channels must be >= 1"),
+            ("text_len = 2", "text_len must be >= 3"),
             ("stage_channels = 8, 4, 16, 32", "stage channels must be non-decreasing"),
         ],
     )
@@ -122,6 +123,22 @@ class TestRunConfig:
         key = line.split()[0]
         with pytest.raises(ValueError, match=f"run.cfg:2: {key}: {message}"):
             RunConfig.from_file(f)
+
+    def test_text_vocab_setting_rejected(self, tmp_path):
+        """The vocabulary alone sizes the token table."""
+        f = tmp_path / "run.cfg"
+        f.write_text("input_size = 64\ntext_vocab = 26\n")
+        with pytest.raises(ValueError, match="run.cfg:2: unknown setting 'text_vocab'"):
+            RunConfig.from_file(f)
+
+    def test_vocab_read_once(self, tmp_path):
+        f = tmp_path / "vocab.txt"
+        f.write_text("<pad>\nboat\n")
+        cfg = RunConfig(vocab_path=str(f))
+        assert cfg.vocab == ("<pad>", "boat")
+        f.unlink()
+        assert cfg.vocab == ("<pad>", "boat")
+        assert RunConfig().vocab is DEFAULT_VOCAB
 
     def test_from_file_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -442,7 +459,7 @@ REJECTED = {
     "radar -inf": (_frame(), _nan_at(_frame(), bad=-np.inf), _ids(), ValueError, "radar input contains"),
     "tokens short": (_frame(), _frame(), _ids(SMALL.text_len - 1), ShapeError, "49 ids.*text_len 50"),
     "tokens long": (_frame(), _frame(), _ids(SMALL.text_len + 1), ShapeError, "51 ids.*text_len 50"),
-    "id at vocab": (_frame(), _frame(), _ids(first=SMALL.text_vocab), ValueError, "token id 26 "),
+    "id at vocab": (_frame(), _frame(), _ids(first=len(SMALL.vocab)), ValueError, "token id 26 "),
     "id above vocab": (_frame(), _frame(), _ids(first=999), ValueError, "token id 999 "),
 }
 
@@ -469,7 +486,7 @@ class TestForwardBoundary:
 
     def test_valid_batch_reaches_the_encoders(self, guarded):
         with pytest.raises(AssertionError, match="an encoder ran"):
-            guarded.forward(_frame(2), _frame(2), _ids(first=SMALL.text_vocab - 1))
+            guarded.forward(_frame(2), _frame(2), _ids(first=len(SMALL.vocab) - 1))
 
     @pytest.mark.parametrize(
         "poisoned,named",
@@ -574,10 +591,12 @@ class TestRunInfer:
         assert read_boxes(res.boxes_path) == res.boxes
 
     def test_vocab_size_mismatch_rejected(self, fixture_dir, tmp_path, small_archive):
+        """The binder names the token table and both shapes."""
         short_vocab = tmp_path / "tiny.txt"
         short_vocab.write_text("<pad>\nboat\n")
         cfg = RunConfig(input_size=64, seed=11, vocab_path=str(short_vocab))
-        with pytest.raises(ValueError, match="vocabulary"):
+        message = r"entry 'text_enc.embedding' has shape \(26, 64\), the model expects \(2, 64\)"
+        with pytest.raises(ArchiveError, match=message):
             run_infer(cfg, small_archive, fixture_dir / "image.ppm", fixture_dir / "radar.f32",
                       fixture_dir / "prompt.txt", tmp_path / "out")
 
@@ -656,6 +675,49 @@ class TestCli:
         """The archive alone picks the segmentation blocks' form."""
         assert main(_infer_argv(fixture_dir, tmp_path / "out", "--fused")) == 1
         assert "unrecognized arguments: --fused" in capsys.readouterr().err
+
+    def test_infer_seed_flag_is_unknown(self, fixture_dir, tmp_path, capsys):
+        """infer generates nothing, so it takes no seed."""
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--seed", "3")) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_infer_short_text_len_names_config_line(self, fixture_dir, tmp_path, capsys):
+        config = tmp_path / "short.cfg"
+        config.write_text("input_size = 64\ntext_len = 2\n")
+        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", str(config))) == 2
+        assert "short.cfg:2: text_len: text_len must be >= 3" in capsys.readouterr().err
+
+    def test_infer_vocab_flag_sizes_the_table(self, tmp_path, capsys):
+        """--vocab alone, with no config file, binds an archive generated for
+        that vocabulary; without it the default vocabulary does not fit."""
+        vocab = tmp_path / "v.txt"
+        vocab.write_text("<pad>\nthe\nkayak\n")
+        save_archive(generate_archive(RunConfig(vocab_path=str(vocab))), tmp_path / "w.nmvg")
+        frame = np.random.default_rng(2).integers(0, 256, size=(3, 640, 640)).astype(np.uint8)
+        for name in ("image.ppm", "radar.ppm"):
+            write_ppm(tmp_path / name, frame)
+        (tmp_path / "prompt.txt").write_text("the kayak\n")
+        argv = [
+            "infer", "--weights", str(tmp_path / "w.nmvg"), "--image", str(tmp_path / "image.ppm"),
+            "--radar", str(tmp_path / "radar.ppm"), "--prompt", str(tmp_path / "prompt.txt"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main([*argv, "--vocab", str(vocab)]) == 0
+        assert (tmp_path / "out" / "mask.pgm").exists()
+        assert main(argv) == 2
+        assert "'text_enc.embedding' has shape (3, 64), the model expects (26, 64)" in capsys.readouterr().err
+
+    def test_gen_fixtures_for_a_config_vocab(self, tmp_path):
+        """The fixtures carry the vocabulary their archive was made for."""
+        vocab = tmp_path / "v.txt"
+        vocab.write_text("\n".join([*DEFAULT_VOCAB, "kayak"]) + "\n")
+        config = tmp_path / "gen.cfg"
+        config.write_text(f"input_size = 64\nvocab_path = {vocab}\n")
+        fix = tmp_path / "fix"
+        assert main(["gen-fixtures", "--out-dir", str(fix), "--config", str(config)]) == 0
+        assert (fix / "vocab.txt").read_text() == vocab.read_text()
+        assert load_archive(fix / "weights.nmvg").get("text_enc.embedding").shape == (27, 64)
+        assert main(_infer_argv(fix, tmp_path / "out", "--config", str(fix / "run.cfg"))) == 0
 
     def test_gen_fixtures_seed_flag(self, tmp_path):
         assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--size", "64", "--seed", "5"]) == 0
@@ -927,7 +989,7 @@ class TestOptionSurface:
     FLAGS = {
         "infer": {
             "--weights", "--image", "--radar", "--prompt", "--out-dir", "--config", "--topk",
-            "--score-thresh", "--mask-thresh", "--attention-normalize", "--seed", "--vocab",
+            "--score-thresh", "--mask-thresh", "--attention-normalize", "--vocab",
         },
         "fuse-rep": {"src", "dst"},
         "eval": {"--pred-boxes", "--gt-boxes", "--pred-mask", "--gt-mask"},
@@ -946,7 +1008,7 @@ class TestOptionSurface:
 
     def test_run_config_fields_pinned(self):
         assert list(RunConfig.__dataclass_fields__) == [
-            "input_size", "stage_channels", "fpn_channels", "embed_dim", "text_vocab", "text_len",
+            "input_size", "stage_channels", "fpn_channels", "embed_dim", "text_len",
             "attention_normalize", "head_scale", "topk", "score_thresh", "mask_thresh", "seed", "vocab_path",
         ]
 

@@ -633,6 +633,16 @@ class TestBatchnorm:
                 running_var=np.array([-0.1], dtype=np.float32),
             )
 
+    def test_nan_variance_rejected(self):
+        """A NaN variance would fold into a kernel without a word."""
+        with pytest.raises(ValueError, match="running_var contains negative or NaN entries"):
+            BNParams(
+                gamma=np.ones(2, dtype=np.float32),
+                beta=np.zeros(2, dtype=np.float32),
+                running_mean=np.zeros(2, dtype=np.float32),
+                running_var=np.array([1.0, np.nan], dtype=np.float32),
+            )
+
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             BNParams(
