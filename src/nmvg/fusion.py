@@ -7,15 +7,14 @@ The dataflow for one stage, with C channels at H x W:
      attention gate (sigmoid of a small 1-D conv over pooled channels)
   3. the two paths are summed into a joint map
   4. a 3x3 deformable conv (offsets predicted from the joint map itself)
-     plus a learned positional grid produces the query map, flattened to
-     (H*W, C)
+     plus a learned positional grid produces the (C, H, W) query map
   5. text path: a fixed sinusoidal code is added to the (C, L) text
      feature, a dense C x C affine is applied per token, and a single
      1-D max pool (k=3, s=2) produces the keys; values are the same
      pooled tensor
   6. similarity = Q K / sqrt(d) with d = C, unnormalized by default
      (an optional flag applies a row softmax)
-  7. the attended values are reshaped back to (C, H, W)
+  7. the attended values form the (C, H, W) output map
 
 Zero text annihilates the output exactly: keys and values are all zero,
 so the attended map is zero regardless of the queries.
@@ -215,24 +214,6 @@ def sinusoidal_encoding(channels: int, length: int) -> np.ndarray:
     return enc.astype(np.float32)
 
 
-def flatten_spatial(x: FeatureMap) -> np.ndarray:
-    """(N, C, H, W) -> (N, H*W, C) with row-major position order."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 4:
-        raise ShapeError(f"flatten_spatial expects 4-D input, got shape {x.shape}")
-    n, c, h, w = x.shape
-    return np.ascontiguousarray(x.reshape(n, c, h * w).transpose(0, 2, 1))
-
-
-def unflatten_spatial(q: np.ndarray, h: int, w: int) -> FeatureMap:
-    """Inverse of flatten_spatial for a given spatial extent."""
-    q = np.asarray(q, dtype=np.float32)
-    if q.ndim != 3 or q.shape[1] != h * w:
-        raise ShapeError(f"cannot unflatten shape {q.shape} to {h}x{w}")
-    n, _, c = q.shape
-    return np.ascontiguousarray(q.transpose(0, 2, 1).reshape(n, c, h, w))
-
-
 def _softmax_rows(sim: np.ndarray) -> np.ndarray:
     shifted = sim - sim.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -242,22 +223,23 @@ def _softmax_rows(sim: np.ndarray) -> np.ndarray:
 def scaled_attend(q: np.ndarray, kv: np.ndarray, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Similarity attention over pooled text tokens.
 
-    q is (N, P, C); kv is (C, L'), the pooled text, which serves as both
-    the keys and the values.  Returns the attended context (N, P, C) and
-    the similarity map (N, P, L').  The similarity is Q K / sqrt(C); rows
-    are softmaxed only when normalize is set.
+    q is (N, C, P), a query map with its P positions in a row; kv is
+    (C, L'), the pooled text, which serves as both the keys and the
+    values.  Returns the attended context (N, C, P) and the similarity
+    map (N, P, L').  The similarity is Q^T K / sqrt(C); rows are
+    softmaxed only when normalize is set.
     """
     q = np.asarray(q, dtype=np.float32)
     kv = np.asarray(kv, dtype=np.float32)
     if q.ndim != 3 or kv.ndim != 2:
-        raise ShapeError(f"scaled_attend expects q (N,P,C) and kv (C,L'), got {q.shape} and {kv.shape}")
-    if q.shape[2] != kv.shape[0]:
+        raise ShapeError(f"scaled_attend expects q (N,C,P) and kv (C,L'), got {q.shape} and {kv.shape}")
+    if q.shape[1] != kv.shape[0]:
         raise ShapeError(f"channel mismatch: q {q.shape}, kv {kv.shape}")
     kv64 = kv.astype(np.float64)
-    sim = (q.astype(np.float64) @ kv64) / np.sqrt(float(kv.shape[0]))
+    sim = (q.astype(np.float64).transpose(0, 2, 1) @ kv64) / np.sqrt(float(kv.shape[0]))
     if normalize:
         sim = _softmax_rows(sim)
-    ctx = sim @ kv64.T
+    ctx = kv64 @ sim.transpose(0, 2, 1)
     return ctx.astype(np.float32), sim.astype(np.float32)
 
 
@@ -331,13 +313,11 @@ def tmdf_fuse(
     q_map = deform_conv(img_p, p.deform)
     del img_p
     q_map += p.lpe
-    n, _, h, w = q_map.shape
-    q = flatten_spatial(q_map)
-    del q_map
 
     coded = (f_text + p.ape).astype(np.float64)
     t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
     kv = maxpool1d(t.astype(np.float32))
 
-    ctx, _ = scaled_attend(q, kv, normalize=normalize)
-    return unflatten_spatial(ctx, h, w)
+    n, _, h, w = q_map.shape
+    ctx, _ = scaled_attend(q_map.reshape(n, c, h * w), kv, normalize=normalize)
+    return ctx.reshape(n, c, h, w)

@@ -380,13 +380,8 @@ def _init_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
         return rng.uniform(0.5, 1.5, size=shape).astype(np.float32)
     if leaf in ("weights", "embedding"):  # eca, text table
         return (0.5 * rng.standard_normal(shape)).astype(np.float32)
-    if len(shape) == 4:
-        fan_in = shape[1] * shape[2] * shape[3]
-    elif len(shape) == 2:
-        fan_in = shape[1]
-    else:
-        fan_in = shape[0]
-    std = float(np.sqrt(2.0 / max(fan_in, 1)))
+    fan_in = math.prod(shape[1:])  # every tensor left is a 4-D kernel or a 2-D weight
+    std = float(np.sqrt(2.0 / fan_in))
     return (std * rng.standard_normal(shape)).astype(np.float32)
 
 
@@ -602,22 +597,13 @@ def generate_fixtures(out_dir: str | Path, cfg: RunConfig) -> dict[str, Path]:
     paths["prompt"] = out / "prompt.txt"
     paths["prompt"].write_text("the fast red vessel near the buoy\n", encoding="utf-8")
 
+    # Every setting, each in the form RunConfig.from_file reads back to the
+    # same value; the archive's token table has one row per word of vocab.txt.
+    settings = {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
+    settings["stage_channels"] = ",".join(str(c) for c in cfg.stage_channels)
+    settings["vocab_path"] = paths["vocab"].resolve()
     paths["config"] = out / "run.cfg"
-    paths["config"].write_text(
-        "\n".join(
-            [
-                f"input_size = {cfg.input_size}",
-                "stage_channels = " + ",".join(str(c) for c in cfg.stage_channels),
-                f"fpn_channels = {cfg.fpn_channels}",
-                f"embed_dim = {cfg.embed_dim}",
-                f"score_thresh = {cfg.score_thresh}",
-                # the archive's token table has one row per word of this file
-                *([f"vocab_path = {paths['vocab'].resolve()}"] if cfg.vocab_path else []),
-            ]
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    paths["config"].write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
 
     # A demo energy trace: ten samples, relative power 28 at tau = 10.
     paths["trace"] = out / "trace.csv"

@@ -194,7 +194,7 @@ def check_deform_degenerate():
 
 
 def check_attention_scale():
-    q = np.ones((1, 1, 4), dtype=np.float32)
+    q = np.ones((1, 4, 1), dtype=np.float32)
     kv = np.ones((4, 3), dtype=np.float32)
     ctx, sim = scaled_attend(q, kv)
     _assert_close(sim, 2.0, 1e-6, "similarity q.k/sqrt(C)")

@@ -3,10 +3,10 @@
 Everything here is written the slow, obvious way (nested loops, per-pixel
 arithmetic, one formula per line) and deliberately shares no code with
 the package beyond parameter containers.  Tests trust these before
-trusting the fast paths.  The one exception is the out-of-place
-compositions at the end: they rebuild layers that write maps over each
-other from the package's public ops, one fresh array per step, as the
-bit-for-bit reference for the in-place forms.
+trusting the fast paths.  The one exception is the compositions at the
+end: they rebuild layers that write maps over each other, or attend in
+another layout, from the package's public ops, one fresh array per step,
+as the bit-for-bit reference for the in-place and channel-major forms.
 """
 
 from __future__ import annotations
@@ -711,3 +711,27 @@ def deform_conv_fresh(x, p):
     out = np.empty((n, co, ho, wo), dtype=np.float32)
     _contract_rows(out.shape, main, make_fill, _emitter(out, co))
     return out
+
+
+def tmdf_fuse_tokens(f_img, f_radar, f_text, p, normalize=False):
+    """The fusion with its attention token-major: the query map copied to
+    (N, H*W, C), the similarity Q K / sqrt(C) and the context sim V^T
+    formed per position, and the context copied back to (N, C, H, W).
+    The convs and the text pooling are the runtime's own public ops, so
+    only the attention's layout differs from ``fusion.tmdf_fuse``."""
+    from nmvg.fusion import deform_conv, eca
+    from nmvg.tensor import conv2d, maxpool1d
+
+    mixed = conv2d(f_img, p.w_img) + eca(conv2d(f_radar, p.w_radar), p.eca)
+    q_map = deform_conv(mixed, p.deform) + p.lpe
+    n, c, h, w = q_map.shape
+    q = np.ascontiguousarray(q_map.reshape(n, c, h * w).transpose(0, 2, 1))
+    coded = (np.asarray(f_text, dtype=np.float32) + p.ape).astype(np.float64)
+    t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
+    kv = maxpool1d(t.astype(np.float32)).astype(np.float64)
+    sim = (q.astype(np.float64) @ kv) / np.sqrt(float(c))
+    if normalize:
+        e = np.exp(sim - sim.max(axis=-1, keepdims=True))
+        sim = e / e.sum(axis=-1, keepdims=True)
+    ctx = (sim @ kv.T).astype(np.float32)
+    return np.ascontiguousarray(ctx.transpose(0, 2, 1).reshape(n, c, h, w))

@@ -3,23 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nmvg.fusion import (
     DeformParams,
     EcaParams,
     deform_conv,
     eca,
-    flatten_spatial,
     scaled_attend,
     sinusoidal_encoding,
     tmdf_fuse,
-    unflatten_spatial,
 )
 import oracles
 from nmvg import fusion, tensor
-from nmvg.tensor import ConvParams, ShapeError, conv2d, maxpool1d
+from nmvg.tensor import ConvParams, ShapeError, conv2d
 from oracles import deform_ref, eca_ref, rand_tmdf, read_only, sinusoid_ref, tmdf_ref
 
 
@@ -307,38 +303,26 @@ class TestPositionalCodes:
         np.testing.assert_allclose(enc[0], np.sin(np.arange(6)), atol=1e-6)
         np.testing.assert_allclose(enc[1], np.cos(np.arange(6)), atol=1e-6)
 
-    @given(
-        st.integers(1, 4), st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_flatten_unflatten_bijection(self, n, c, h, w):
-        x = np.random.default_rng(n * 1000 + c * 100 + h * 10 + w).standard_normal(
-            (n, c, h, w)
-        ).astype(np.float32)
-        q = flatten_spatial(x)
-        assert q.shape == (n, h * w, c)
-        assert np.array_equal(unflatten_spatial(q, h, w), x)
-
 
 class TestScaledAttend:
     def test_hand_dot_product(self):
         d = 9
-        q = np.ones((1, 1, d), dtype=np.float32)
+        q = np.ones((1, d, 1), dtype=np.float32)
         kv = np.concatenate([np.ones((d, 1)), 2 * np.ones((d, 1))], axis=1).astype(np.float32)
         ctx, sim = scaled_attend(q, kv)
         np.testing.assert_allclose(sim[0, 0], [3.0, 6.0], atol=1e-6)
-        np.testing.assert_allclose(ctx[0, 0], 3.0 * kv[:, 0] + 6.0 * kv[:, 1], atol=1e-5)
+        np.testing.assert_allclose(ctx[0, :, 0], 3.0 * kv[:, 0] + 6.0 * kv[:, 1], atol=1e-5)
 
     def test_normalize_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        q = rng.standard_normal((2, 5, 4)).astype(np.float32)
+        q = rng.standard_normal((2, 4, 5)).astype(np.float32)
         kv = rng.standard_normal((4, 3)).astype(np.float32)
         _, sim = scaled_attend(q, kv, normalize=True)
         np.testing.assert_allclose(sim.sum(axis=2), 1.0, atol=1e-5)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            scaled_attend(np.zeros((1, 2, 3), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
+            scaled_attend(np.zeros((1, 3, 2), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
 
 
 class TestTmdfFuse:
@@ -417,15 +401,29 @@ class TestTmdfFuse:
         p.lpe.flags.writeable = False
         frozen = read_only(f_img, f_radar, f_text)
         got = tmdf_fuse(*frozen, p, normalize=normalize)
-        mixed = conv2d(f_img, p.w_img) + eca(conv2d(f_radar, p.w_radar), p.eca)
-        q = flatten_spatial(deform_conv(mixed, p.deform) + p.lpe)
-        coded = (f_text + p.ape).astype(np.float64)
-        t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
-        kv = maxpool1d(t.astype(np.float32))
-        want = unflatten_spatial(scaled_attend(q, kv, normalize=normalize)[0], h, w)
+        want = oracles.tmdf_fuse_tokens(f_img, f_radar, f_text, p, normalize=normalize)
         assert all(np.array_equal(a, b) for a, b in zip(frozen, (f_img, f_radar, f_text)))
         assert np.array_equal(p.lpe, lpe)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize(
+        "c,side,length",
+        # The four stages of a 64 forward (text_len 50 pools to 24 slots),
+        # shorter texts pooling to 3 and 1, and stage 0 of a 640 forward.
+        [(16, 16, 50), (32, 8, 50), (64, 4, 50), (96, 2, 50), (16, 16, 7), (32, 8, 3), (16, 160, 50)],
+    )
+    def test_equals_token_major_attention(self, c, side, length, n, normalize):
+        """Attending on the channel-major query map gives the bits of the
+        old glue: flatten to (N, H*W, C), attend per position, unflatten."""
+        rng = np.random.default_rng(c + side + n + length)
+        p = rand_tmdf(rng, c, side, side, length, offset_scale=0.3, scale=0.5)
+        f_img, f_radar = rng.standard_normal((2, n, c, side, side)).astype(np.float32)
+        f_text = rng.standard_normal((c, length)).astype(np.float32)
+        got = tmdf_fuse(f_img, f_radar, f_text, p, normalize=normalize)
+        want = oracles.tmdf_fuse_tokens(f_img, f_radar, f_text, p, normalize=normalize)
+        assert got.tobytes() == want.tobytes()
 
     def test_modality_symmetry_with_forced_gate(self):
         """Shared projection, gate pinned at 1: swapping which sensor

@@ -719,6 +719,19 @@ class TestCli:
         assert load_archive(fix / "weights.nmvg").get("text_enc.embedding").shape == (27, 64)
         assert main(_infer_argv(fix, tmp_path / "out", "--config", str(fix / "run.cfg"))) == 0
 
+    def test_gen_fixtures_write_the_config_they_were_made_for(self, tmp_path):
+        """Every setting of the config reads back from the written run.cfg;
+        only vocab_path names the vocab.txt written beside it."""
+        config = tmp_path / "gen.cfg"
+        config.write_text(
+            "input_size = 64\ntopk = 3\ntext_len = 20\nhead_scale = 3\nmask_thresh = 0.25\n"
+            "attention_normalize = true\nscore_thresh = 0.35\nseed = 4\n"
+        )
+        fix = tmp_path / "fix"
+        assert main(["gen-fixtures", "--out-dir", str(fix), "--config", str(config)]) == 0
+        want = RunConfig.from_file(config, vocab_path=str((fix / "vocab.txt").resolve()))
+        assert RunConfig.from_file(fix / "run.cfg") == want
+
     def test_gen_fixtures_seed_flag(self, tmp_path):
         assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--size", "64", "--seed", "5"]) == 0
         save_archive(generate_archive(RunConfig(input_size=64, seed=5)), tmp_path / "want.nmvg")
