@@ -96,14 +96,18 @@ class DeformParams:
 def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     """Deformable 2-D conv with bilinear sampling; out-of-bounds reads zero.
 
-    The bilinear samples are gathered one block of output rows at a time,
-    each corner of each sample with one flat index over its H*W pixels,
-    into float64 im2col columns (N, C_in, k_h*k_w, rows, W_out) that go
-    through the same tiled grouped float64 contraction as ``conv2d``'s
-    dense path.  A block's coordinates, weights and indices live in
-    arrays made once per tile thread, on the calling thread, and every
-    cast into them is an assignment, so no block makes a temporary in a
-    pool thread.
+    The input is copied once, as float64, into a map with a zero border of
+    two pixels above and left and three below and right.  Coordinates are
+    clamped to [-2, extent + 1], beyond which all four bilinear corners are
+    off the map anyway, so every corner is a pixel of the bordered copy and
+    one off the map reads 0.0; no corner is clipped or masked.  The samples
+    are gathered one block of output rows at a time, each corner with one
+    flat index into the copy, into float64 im2col columns (N, C_in,
+    k_h*k_w, rows, W_out) that go through the same tiled grouped float64
+    contraction as ``conv2d``'s dense path.  A block's coordinates, weights
+    and indices live in arrays made once per tile thread, on the calling
+    thread, and every cast into them is an assignment, so no block makes a
+    temporary in a pool thread.
     With an all-zero offset predictor this reduces to conv2d(x, p.main).
     """
     x = np.asarray(x, dtype=np.float32)
@@ -125,70 +129,59 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     # Each tap's sampling grid before the offsets move it, as float64.
     base_y = ((np.arange(ho) * main.stride - main.padding)[None, :, None] + ky[:, None, None]).astype(np.float64)
     base_x = ((np.arange(wo) * main.stride - main.padding)[None, None, :] + kx[:, None, None]).astype(np.float64)
-    pixels = x.reshape(n, c_in, h * w)
+    # The map at (2, 2) of a zero copy wide enough for every clamped corner.
+    wb = w + 5
+    bordered = np.zeros((n, c_in, h + 5, wb))
+    bordered[:, :, 2 : h + 2, 2 : w + 2] = x
+    pixels = bordered.reshape(n, c_in, -1)
 
     def make_fill(rows):
         # One element per sample (batch, tap, row, column) of a block.
         size = n * taps * rows * wo
-        reals = np.empty((6, size))
-        ints = np.empty((5, size), dtype=np.int64)
-        masks = np.empty((5, size), dtype=bool)
-        gathered = np.empty(c_in * taps * rows * wo, dtype=np.float32)
+        reals = np.empty((5, size))
+        ints = np.empty((2, size), dtype=np.int64)
         weighted = np.empty(c_in * taps * rows * wo)
 
         def fill(cols, r0, r1):
             shape = (n, taps, r1 - r0, wo)
             m = n * taps * (r1 - r0) * wo
-            wy, qy, wx, qx, wgt, valid = (a[:m].reshape(shape) for a in reals)
-            y0, y1, x0, x1, idx = (a[:m].reshape(shape) for a in ints)
-            vy0, vy1, vx0, vx1, inside = (a[:m].reshape(shape) for a in masks)
+            wy, qy, wx, qx, wgt = (a[:m].reshape(shape) for a in reals)
+            y0, x0 = (a[:m].reshape(shape) for a in ints)
             # Per axis: frac holds the coordinate, then its fraction f; rest
-            # its floor, then 1 - f; idx the floor as int64; c0 and c1 the
-            # floor and the next pixel clipped into the map, and v0 and v1
-            # whether they were in it unclipped.  wgt holds the grid until
-            # the corners need it.
-            for k, ext, grid, frac, rest, c0, c1, v0, v1 in (
-                (0, h, base_y[:, r0:r1], wy, qy, y0, y1, vy0, vy1),
-                (1, w, base_x, wx, qx, x0, x1, vx0, vx1),
+            # its floor, then 1 - f; c0 the floor as int64.  wgt holds the
+            # grid until the corners need it.
+            for k, ext, grid, frac, rest, c0 in (
+                (0, h, base_y[:, r0:r1], wy, qy, y0),
+                (1, w, base_x, wx, qx, x0),
             ):
                 frac[...] = offsets[:, k::2, r0:r1]
                 wgt[...] = grid
                 frac += wgt
-                # Beyond this window all four bilinear corners are out of
-                # bounds, so clamping changes no result and keeps the cast finite.
+                # Beyond this window all four bilinear corners are off the
+                # map, so clamping changes no result and keeps the cast finite.
                 np.clip(frac, -2, ext + 1, out=frac)
                 np.floor(frac, out=rest)
-                idx[...] = rest
+                c0[...] = rest
                 frac -= rest
                 np.subtract(1.0, frac, out=rest)
-                np.clip(idx, 0, ext - 1, out=c0)
-                np.equal(c0, idx, out=v0)
-                np.clip(idx, -1, ext - 2, out=c1)
-                np.equal(c1, idx, out=v1)
-                c1 += 1
-            y0 *= w
-            y1 *= w
-            cols.fill(0.0)  # a transposed view: written per frame, never reshaped
-            vals = gathered[: cols[0].size].reshape(c_in, -1)
+            # y0 becomes the top-left corner's flat index counted from the
+            # map's (0, 0), which is 2 * wb + 2 in the copy; x0 then holds
+            # each corner's index in the copy in turn.
+            y0 *= wb
+            y0 += x0
             prod = weighted[: cols[0].size].reshape(c_in, -1)
-            for row, col, a, b, va, vb in (
-                (y0, x0, qy, qx, vy0, vx0),
-                (y0, x1, qy, wx, vy0, vx1),
-                (y1, x0, wy, qx, vy1, vx0),
-                (y1, x1, wy, wx, vy1, vx1),
-            ):
-                np.add(row, col, out=idx)
+            for step, a, b in ((0, qy, qx), (1, qy, wx), (wb, wy, qx), (wb + 1, wy, wx)):
+                np.add(y0, 2 * wb + 2 + step, out=x0)
                 np.multiply(a, b, out=wgt)
-                np.logical_and(va, vb, out=inside)
-                valid[...] = inside
-                wgt *= valid
                 for i in range(n):
                     # The indices are in range, so "wrap" never wraps; it
                     # gathers faster than "clip".
-                    np.take(pixels[i], idx[i].reshape(-1), axis=1, out=vals, mode="wrap")
-                    prod[...] = vals
+                    np.take(pixels[i], x0[i].reshape(-1), axis=1, out=prod, mode="wrap")
                     prod *= wgt[i].reshape(1, -1)
-                    cols[i] += prod.reshape(cols[i].shape)
+                    # cols is a transposed view: written per frame, never
+                    # reshaped.  The first corner writes w*v + 0.0, which is
+                    # +0.0 where w*v is -0.0, as a sum begun at 0.0 would.
+                    np.add(prod.reshape(cols[i].shape), cols[i] if step else 0.0, out=cols[i])
 
         return fill
 
@@ -205,12 +198,9 @@ def sinusoidal_encoding(channels: int, length: int) -> np.ndarray:
     """
     if channels < 1 or length < 1:
         raise ShapeError("sinusoidal encoding needs positive dims")
-    pos = np.arange(length, dtype=np.float64)
-    enc = np.zeros((channels, length), dtype=np.float64)
-    for c in range(channels):
-        base = c if c % 2 == 0 else c - 1
-        freq = 1.0 / (10000.0 ** (base / channels))
-        enc[c] = np.sin(pos * freq) if c % 2 == 0 else np.cos(pos * freq)
+    c = np.arange(channels)
+    angle = (1.0 / 10000.0 ** ((c & ~1) / channels))[:, None] * np.arange(length, dtype=np.float64)
+    enc = np.where(c[:, None] % 2 == 0, np.sin(angle), np.cos(angle))
     return enc.astype(np.float32)
 
 

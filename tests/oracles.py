@@ -230,6 +230,18 @@ def sinusoid_ref(channels, length):
     return enc
 
 
+def sinusoidal_encoding_loop(channels, length):
+    """The position code one channel at a time, each row one numpy sin or
+    cos of the positions times the channel's frequency, rounded to float32."""
+    pos = np.arange(length, dtype=np.float64)
+    enc = np.zeros((channels, length), dtype=np.float64)
+    for c in range(channels):
+        base = c if c % 2 == 0 else c - 1
+        freq = 1.0 / (10000.0 ** (base / channels))
+        enc[c] = np.sin(pos * freq) if c % 2 == 0 else np.cos(pos * freq)
+    return enc.astype(np.float32)
+
+
 def tmdf_ref(f_img, f_radar, f_text, p, normalize=False):
     """Step-by-step transcription of the fusion dataflow.
 

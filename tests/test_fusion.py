@@ -218,29 +218,56 @@ class TestDeformConv:
             assert batch[i].tobytes() == deform_conv(x[i : i + 1], p)[0].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("case", ["batch3", "beyond_map", "huge"])
+    @pytest.mark.parametrize("case", ["batch3", "beyond_map", "huge", "on_pixel"])
     def test_sampling_equals_fresh_formula(self, monkeypatch, cores, case, k):
-        """The chunk-owned sampling equals the per-corner formula with fresh
-        temporaries bit for bit, on one chunk and on two."""
+        """Sampling the zero-bordered copy equals the per-corner clip-and-mask
+        formula with fresh temporaries bit for bit, on one chunk and on two."""
         rng = np.random.default_rng(31)
         c, n = 3, 3 if case == "batch3" else 2
         p = _deform_params(rng, c, offset_scale=0.7)
-        if case != "batch3":
+        if case in ("beyond_map", "huge"):
             # Biases of a few pixels push many samples past the border;
             # 1e20 pushes every one far outside it.
             scale = 1e20 if case == "huge" else 4.0
             bias = (scale * np.sign(rng.standard_normal(18))).astype(np.float32)
             p = DeformParams(ConvParams(p.offset_conv.kernel, bias, padding=1), p.main)
+        elif case == "on_pixel":
+            # Integer offsets: every fraction is 0, so on-map corners of
+            # weight 0 meet pixels of either sign.
+            bias = rng.integers(-3, 4, 18).astype(np.float32)
+            p = DeformParams(ConvParams(np.zeros_like(p.offset_conv.kernel), bias, padding=1), p.main)
         x = rng.standard_normal((n, c, 11, 7)).astype(np.float32)
         x[:, :, ::3] *= -1e-30  # negative pixels under zero weights make -0.0 products
+        x[:, :, 1::3, ::2] = -0.0  # a corner of weight 1 on these reads -0.0
         # Two output rows per block: six blocks, the last one ragged.
         monkeypatch.setattr(tensor, "_TILE", 2 * n * (9 * c + c) * 7)
         cores(k)
+        # The im2col columns of each block, by its first row: the GEMM and
+        # the bias would hide a -0.0 column that should be +0.0.
+        columns = {}
+        contract_rows = tensor._contract_rows
+
+        def contract_spy(shape, main, make_fill, make_emit):
+            def make_fill_spy(rows):
+                fill = make_fill(rows)
+
+                def fill_spy(cols, r0, r1):
+                    fill(cols, r0, r1)
+                    columns[r0] = cols.tobytes()
+
+                return fill_spy
+
+            contract_rows(shape, main, make_fill_spy, make_emit)
+
+        monkeypatch.setattr(tensor, "_contract_rows", contract_spy)
         want = oracles.deform_conv_fresh(x, p)
+        want_columns, columns = columns, {}
+        monkeypatch.setattr(fusion, "_contract_rows", contract_spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = deform_conv(x, p)
         assert got.tobytes() == want.tobytes()
+        assert columns == want_columns
 
     def test_tiles_allocate_less_than_a_coordinate_array(self, monkeypatch, cores):
         """Once every thread's buffers exist, running the tiles allocates
@@ -297,6 +324,13 @@ class TestDeformConv:
 class TestPositionalCodes:
     def test_sinusoid_matches_reference(self):
         np.testing.assert_allclose(sinusoidal_encoding(8, 11), sinusoid_ref(8, 11), atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "channels,length", [(16, 50), (32, 50), (64, 50), (96, 50), (1, 50), (7, 3), (33, 20), (129, 77)]
+    )
+    def test_equals_per_channel_loop(self, channels, length):
+        want = oracles.sinusoidal_encoding_loop(channels, length)
+        assert sinusoidal_encoding(channels, length).tobytes() == want.tobytes()
 
     def test_first_channel_is_sine_of_position(self):
         enc = sinusoidal_encoding(4, 6)

@@ -314,19 +314,29 @@ class TestConvTiles:
 
 def _thread_spy(monkeypatch):
     """Record, for every ``_map_tiles`` call, the threads that built each
-    tile thread's buffers and the threads that ran its tiles."""
+    tile thread's buffers and the threads that ran its tiles.
+
+    Each tile thread holds its first tile until every tile thread holds
+    one, so on a busy host no thread can take every run (with at least one
+    run per thread, every thread then runs a tile)."""
     calls = []
     map_tiles = tensor._map_tiles
 
     def spy(tiles, make_tile):
-        made, ran = [], set()
+        made, ran, barriers = [], set(), {}
 
         def make_tile_spy():
             made.append(threading.get_ident())
             tile = make_tile()
+            held = []
 
             def tile_spy(t):
                 ran.add(threading.get_ident())
+                if not held:
+                    held.append(t)
+                    # Every tile thread is made before any tile runs, and
+                    # setdefault is atomic, so all threads share one barrier.
+                    barriers.setdefault(0, threading.Barrier(len(made), timeout=60)).wait()
                 tile(t)
 
             return tile_spy
@@ -376,8 +386,7 @@ class TestCorePool:
         (n1, made1, ran1), (n2, made2, ran2), (n3, made3, ran3) = calls
         assert n1 == n2 == n3 >= 3
         assert made1 == [main] and made2 == [main] * 2 and made3 == [main] * 3
-        # Which pool thread takes which run is up to the pool.
-        assert ran1 == {main} and len(ran2) == 2 and len(ran3) >= 2 and main in ran2 & ran3
+        assert ran1 == {main} and len(ran2) == 2 and len(ran3) == 3 and main in ran2 & ran3
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
     @pytest.mark.parametrize("k", [1, 2])
