@@ -21,7 +21,7 @@ from .tensor import (
     BNParams,
     ConvParams,
     FeatureMap,
-    ShapeError,
+    _own,
     conv2d,
 )
 
@@ -34,16 +34,10 @@ class TokenSequence:
     padding_mask: np.ndarray
 
     def __post_init__(self):
-        ids = np.ascontiguousarray(np.asarray(self.ids, dtype=np.int64))
-        mask = np.ascontiguousarray(np.asarray(self.padding_mask, dtype=bool))
-        if ids.ndim != 1 or mask.ndim != 1 or ids.shape != mask.shape:
-            raise ShapeError(
-                f"ids and padding_mask must be equal-length 1-D, got {ids.shape} and {mask.shape}"
-            )
+        ids = _own(self, "ids", 1, dtype=np.int64)
+        _own(self, "padding_mask", 1, ids.shape, bool)
         if (ids < 0).any():
             raise ValueError("token ids must be non-negative")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "padding_mask", mask)
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -148,10 +142,7 @@ class TextEncoderParams:
     embedding: np.ndarray
 
     def __post_init__(self):
-        e = np.ascontiguousarray(np.asarray(self.embedding, dtype=np.float32))
-        if e.ndim != 2:
-            raise ShapeError(f"embedding table must be 2-D, got shape {e.shape}")
-        object.__setattr__(self, "embedding", e)
+        _own(self, "embedding", 2)
 
 
 def text_encoder(tokens: TokenSequence, p: TextEncoderParams) -> np.ndarray:

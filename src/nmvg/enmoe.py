@@ -23,6 +23,7 @@ from .tensor import (
     ConvParams,
     FeatureMap,
     ShapeError,
+    _as_f32,
     _sigmoid,
     conv2d,
     sobel,
@@ -60,9 +61,7 @@ class EnMoeParams:
 
 
 def enmoe_forward(f: FeatureMap, p: EnMoeParams) -> FeatureMap:
-    f = np.asarray(f, dtype=np.float32)
-    if f.ndim != 4:
-        raise ShapeError(f"expected (N, C, H, W), got shape {f.shape}")
+    f = _as_f32(f, 4, "enmoe input")
     if f.shape[2] < MIN_EXTENT or f.shape[3] < MIN_EXTENT:
         raise ShapeError(
             f"spatial dims {f.shape[2:]} are below the {MIN_EXTENT}x{MIN_EXTENT} minimum"

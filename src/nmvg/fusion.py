@@ -31,9 +31,11 @@ from .tensor import (
     ConvParams,
     FeatureMap,
     ShapeError,
+    _as_f32,
     _contract_rows,
     _emitter,
     _out_extent,
+    _own,
     _sigmoid,
     conv2d,
     global_avg_pool,
@@ -48,10 +50,8 @@ class EcaParams:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float32))
-        if w.ndim != 1 or w.shape[0] % 2 == 0:
-            raise ShapeError(f"eca weights must be 1-D with odd length, got shape {w.shape}")
-        object.__setattr__(self, "weights", w)
+        if _own(self, "weights", 1).shape[0] % 2 == 0:
+            raise ShapeError(f"eca weights must have odd length, got shape {self.weights.shape}")
 
 
 def eca(x: FeatureMap, p: EcaParams) -> FeatureMap:
@@ -110,9 +110,7 @@ def deform_conv(x: FeatureMap, p: DeformParams) -> FeatureMap:
     temporary in a pool thread.
     With an all-zero offset predictor this reduces to conv2d(x, p.main).
     """
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 4:
-        raise ShapeError(f"deform input must be 4-D, got shape {x.shape}")
+    x = _as_f32(x, 4, "deform input")
     offsets = conv2d(x, p.offset_conv)
     main = p.main
     n, c_in, h, w = x.shape
@@ -219,10 +217,8 @@ def scaled_attend(q: np.ndarray, kv: np.ndarray, normalize: bool = False) -> tup
     map (N, P, L').  The similarity is Q^T K / sqrt(C); rows are
     softmaxed only when normalize is set.
     """
-    q = np.asarray(q, dtype=np.float32)
-    kv = np.asarray(kv, dtype=np.float32)
-    if q.ndim != 3 or kv.ndim != 2:
-        raise ShapeError(f"scaled_attend expects q (N,C,P) and kv (C,L'), got {q.shape} and {kv.shape}")
+    q = _as_f32(q, 3, "attention queries")
+    kv = _as_f32(kv, 2, "attention keys")
     if q.shape[1] != kv.shape[0]:
         raise ShapeError(f"channel mismatch: q {q.shape}, kv {kv.shape}")
     kv64 = kv.astype(np.float64)
@@ -247,23 +243,10 @@ class TmdfParams:
     ape: np.ndarray
 
     def __post_init__(self):
-        lpe = np.ascontiguousarray(np.asarray(self.lpe, dtype=np.float32))
-        if lpe.ndim != 4 or lpe.shape[0] != 1:
-            raise ShapeError(f"lpe must be (1, C, H, W), got shape {lpe.shape}")
-        object.__setattr__(self, "lpe", lpe)
-        wt = np.ascontiguousarray(np.asarray(self.w_text, dtype=np.float32))
-        c = lpe.shape[1]
-        if wt.shape != (c, c):
-            raise ShapeError(f"w_text must be ({c}, {c}), got shape {wt.shape}")
-        object.__setattr__(self, "w_text", wt)
-        wb = np.ascontiguousarray(np.asarray(self.w_text_bias, dtype=np.float32))
-        if wb.shape != (c,):
-            raise ShapeError(f"w_text_bias must be ({c},), got shape {wb.shape}")
-        object.__setattr__(self, "w_text_bias", wb)
-        ape = np.ascontiguousarray(np.asarray(self.ape, dtype=np.float32))
-        if ape.ndim != 2 or ape.shape[0] != c:
-            raise ShapeError(f"ape must be ({c}, L), got shape {ape.shape}")
-        object.__setattr__(self, "ape", ape)
+        c = _own(self, "lpe", 4, (1,)).shape[1]
+        _own(self, "w_text", 2, (c, c))
+        _own(self, "w_text_bias", 1, (c,))
+        _own(self, "ape", 2, (c,))
 
 
 def tmdf_fuse(
@@ -274,15 +257,13 @@ def tmdf_fuse(
     normalize: bool = False,
 ) -> FeatureMap:
     """Fuse one stage of image and radar features under text guidance."""
-    f_img = np.asarray(f_img, dtype=np.float32)
-    f_radar = np.asarray(f_radar, dtype=np.float32)
+    f_img = _as_f32(f_img, 4, "image stage")
+    f_radar = _as_f32(f_radar, 4, "radar stage")
     f_text = np.asarray(f_text, dtype=np.float32)
     if f_img.shape != f_radar.shape:
         raise ShapeError(
             f"image and radar stages must match, got {f_img.shape} vs {f_radar.shape}"
         )
-    if f_img.ndim != 4:
-        raise ShapeError(f"stage features must be 4-D, got shape {f_img.shape}")
     c = p.lpe.shape[1]
     if f_img.shape[1] != c:
         raise ShapeError(f"stage has {f_img.shape[1]} channels, fusion expects {c}")

@@ -25,6 +25,7 @@ from .tensor import (
     FeatureMap,
     ShapeError,
     _activate,
+    _own,
     _pyramid,
     _upsample2_add,
     batchnorm_inference,
@@ -58,18 +59,13 @@ class DetectionBox:
 
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
-    """Full-resolution foreground bitmap with the threshold that made it."""
+    """Full-resolution foreground bitmap."""
 
     bitmap: np.ndarray
-    threshold: float
 
     def __post_init__(self):
-        b = np.ascontiguousarray(np.asarray(self.bitmap, dtype=np.uint8))
-        if b.ndim != 2:
-            raise ShapeError(f"mask bitmap must be 2-D, got shape {b.shape}")
-        if b.max(initial=0) > 1:
+        if _own(self, "bitmap", 2, dtype=np.uint8).max(initial=0) > 1:
             raise ValueError("mask bitmap entries must be 0 or 1")
-        object.__setattr__(self, "bitmap", b)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +318,5 @@ def res_head_forward(
         )
     factor = image_size // logits.shape[2]
     logits = upsample(logits, factor)
-    masks = [
-        BinaryMask(bitmap=(logits[i, 0] > np.float32(threshold)).astype(np.uint8), threshold=threshold)
-        for i in range(logits.shape[0])
-    ]
+    masks = [BinaryMask((logits[i, 0] > np.float32(threshold)).astype(np.uint8)) for i in range(len(logits))]
     return logits, masks

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .heads import BinaryMask
+from .tensor import _own
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100 for i in range(10))
 
@@ -163,10 +164,8 @@ class EnergyTrace:
     tau_evals: int
 
     def __post_init__(self):
-        tr = np.ascontiguousarray(np.asarray(self.trained, dtype=np.float64))
-        un = np.ascontiguousarray(np.asarray(self.untrained, dtype=np.float64))
-        if tr.ndim != 1 or un.ndim != 1 or tr.shape != un.shape:
-            raise ValueError("trained and untrained readings must be equal-length 1-D")
+        tr = _own(self, "trained", 1, dtype=np.float64)
+        un = _own(self, "untrained", 1, tr.shape, np.float64)
         if tr.shape[0] == 0:
             raise ValueError("energy trace is empty")
         if len(self.sample_ids) != tr.shape[0]:
@@ -177,8 +176,6 @@ class EnergyTrace:
             raise ValueError("energy readings must be non-negative")
         if self.tau_evals < 1:
             raise ValueError(f"tau_evals must be >= 1, got {self.tau_evals}")
-        object.__setattr__(self, "trained", tr)
-        object.__setattr__(self, "untrained", un)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
 
     @classmethod

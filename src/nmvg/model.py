@@ -224,17 +224,11 @@ _MSREP_PREFIXES = ("res.msrep5", "res.msrep4", "res.msrep3")
 _FUSED_KEY = f"{_MSREP_PREFIXES[0]}.fused.kernel"
 
 
-def _msrep(b: _Binder, p: str, f: int | None, fused: bool) -> MsRepParams | ConvParams:
-    """One segmentation block at prefix p: the folded conv, or the trainable
-    branches.
-
-    The fold has no run configuration and passes f=None: the width is then
-    read from the archive's 3x3 branch.
-    """
+def _msrep(b: _Binder, p: str, f: int, fused: bool) -> MsRepParams | ConvParams:
+    """One segmentation block of width f at prefix p: the folded conv, or the
+    trainable branches."""
     if fused:
         return b.conv(f"{p}.fused", (f, 1, 3, 3), padding=1, groups=f, bias=True)
-    if f is None:
-        f = b.archive.get(f"{p}.conv3.kernel").shape[0]
     return MsRepParams(
         conv3=b.conv(f"{p}.conv3", (f, 1, 3, 3), padding=1, groups=f),
         bn3=b.bn(f"{p}.bn3", f),
@@ -512,10 +506,12 @@ def fuse_archive(archive: WeightArchive) -> WeightArchive:
     b = _Binder(archive)
     folded = {}
     for p in _MSREP_PREFIXES:
-        conv = msrep_fuse(_msrep(b, p, None, fused=False))
+        # The fold has no run configuration: the 3x3 branch gives the width.
+        f = archive.get(f"{p}.conv3.kernel").shape[0]
+        conv = msrep_fuse(_msrep(b, p, f, fused=False))
         # the folded names come from the helper that from_archive binds them with
         names = _Binder()
-        _msrep(names, p, conv.out_channels, fused=True)
+        _msrep(names, p, f, fused=True)
         folded.update(zip(names.shapes, (conv.kernel, conv.bias)))
     return archive._replace_entries(b.shapes, folded)
 
@@ -621,5 +617,5 @@ def generate_fixtures(out_dir: str | Path, cfg: RunConfig) -> dict[str, Path]:
     bitmap = np.zeros((side, side), dtype=np.uint8)
     bitmap[side // 4 : side // 2, side // 4 : side // 2] = 1
     paths["mask"] = out / "mask.pgm"
-    write_mask(paths["mask"], BinaryMask(bitmap=bitmap, threshold=0.0))
+    write_mask(paths["mask"], BinaryMask(bitmap=bitmap))
     return paths

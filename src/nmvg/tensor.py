@@ -139,6 +139,18 @@ def _as_f32(x, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _own(obj, name: str, ndim: int, lead: tuple = (), dtype=np.float32) -> np.ndarray:
+    """Store a bundle's array field as a C-contiguous ``dtype`` array of
+    ``ndim`` axes whose leading lengths are ``lead``, and return it.  An
+    array already in that form is stored as it is, not copied."""
+    a = np.asarray(getattr(obj, name), dtype, order="C")
+    if a.ndim != ndim or a.shape[: len(lead)] != lead:
+        dims = f" with leading dims {lead}" if lead else ""
+        raise ShapeError(f"{name} must be {ndim}-D{dims}, got shape {a.shape}")
+    object.__setattr__(obj, name, a)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ConvParams:
     """Weights for a (possibly grouped) 2-D convolution.
@@ -154,17 +166,9 @@ class ConvParams:
     groups: int = 1
 
     def __post_init__(self):
-        k = np.ascontiguousarray(np.asarray(self.kernel, dtype=np.float32))
-        if k.ndim != 4:
-            raise ShapeError(f"conv kernel must be 4-D, got shape {k.shape}")
-        object.__setattr__(self, "kernel", k)
+        k = _own(self, "kernel", 4)
         if self.bias is not None:
-            b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float32))
-            if b.shape != (k.shape[0],):
-                raise ShapeError(
-                    f"bias shape {b.shape} does not match {k.shape[0]} output channels"
-                )
-            object.__setattr__(self, "bias", b)
+            _own(self, "bias", 1, k.shape[:1])
         if self.stride < 1:
             raise ShapeError(f"stride must be >= 1, got {self.stride}")
         if self.padding < 0:
@@ -194,21 +198,13 @@ class BNParams:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        arrs = {}
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float32))
-            if a.ndim != 1:
-                raise ShapeError(f"{name} must be 1-D, got shape {a.shape}")
-            arrs[name] = a
-        lengths = {a.shape[0] for a in arrs.values()}
-        if len(lengths) != 1:
-            raise ShapeError(f"batchnorm fields disagree on channel count: {sorted(lengths)}")
-        if not (arrs["running_var"] >= 0).all():  # also false for NaN
+        c = _own(self, "gamma", 1).shape
+        for name in ("beta", "running_mean", "running_var"):
+            _own(self, name, 1, c)
+        if not (self.running_var >= 0).all():  # also false for NaN
             raise ValueError("running_var contains negative or NaN entries")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        for name, a in arrs.items():
-            object.__setattr__(self, name, a)
 
     @property
     def channels(self) -> int:

@@ -48,16 +48,16 @@ class TestDetectionBox:
 
 class TestBinaryMask:
     def test_accepts_zero_one(self):
-        m = BinaryMask(np.array([[0, 1], [1, 0]]), 0.0)
+        m = BinaryMask(np.array([[0, 1], [1, 0]]))
         assert m.bitmap.dtype == np.uint8
 
     def test_rejects_other_values(self):
         with pytest.raises(ValueError):
-            BinaryMask(np.array([[0, 2]]), 0.0)
+            BinaryMask(np.array([[0, 2]]))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
-            BinaryMask(np.zeros((2, 2, 2), dtype=np.uint8), 0.0)
+            BinaryMask(np.zeros((2, 2, 2), dtype=np.uint8))
 
     def test_accepts_exactly_the_values_zero_and_one(self):
         """The bound check accepts the same uint8 values as membership in
@@ -65,12 +65,12 @@ class TestBinaryMask:
         for v in range(256):
             bitmap = np.array([[0, 1], [1, v]], dtype=np.uint8)
             if v <= 1:
-                assert BinaryMask(bitmap, 0.0).bitmap[1, 1] == v
+                assert BinaryMask(bitmap).bitmap[1, 1] == v
             else:
                 with pytest.raises(ValueError, match="0 or 1"):
-                    BinaryMask(bitmap, 0.0)
-        assert BinaryMask(np.zeros((0, 4), dtype=np.uint8), 0.0).bitmap.shape == (0, 4)
-        assert BinaryMask(np.eye(3, dtype=bool), 0.0).bitmap.dtype == np.uint8
+                    BinaryMask(bitmap)
+        assert BinaryMask(np.zeros((0, 4), dtype=np.uint8)).bitmap.shape == (0, 4)
+        assert BinaryMask(np.eye(3, dtype=bool)).bitmap.dtype == np.uint8
 
 
 def _rand_branch(rng, cin, cout):
@@ -351,7 +351,6 @@ class TestResHead:
         logits, masks = res_head_forward(_pyramid(rng, 3, 8), p, image_size=32, threshold=0.0)
         want = (logits[0, 0] > 0.0).astype(np.uint8)
         np.testing.assert_array_equal(masks[0].bitmap, want)
-        assert masks[0].threshold == 0.0
 
     def test_fused_blocks_agree(self):
         rng = np.random.default_rng(42)

@@ -228,7 +228,7 @@ class TestMaskMiou:
         assert got == pytest.approx(100.0 * (1.0 + 0.5) / 2)
 
     def test_accepts_binary_mask_objects(self):
-        m = BinaryMask(np.ones((3, 3), dtype=np.uint8), 0.0)
+        m = BinaryMask(np.ones((3, 3), dtype=np.uint8))
         assert mask_miou([m], [np.ones((3, 3))]) == 100.0
 
     def test_shape_mismatch_rejected(self):

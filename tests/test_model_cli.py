@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import filecmp
 import hashlib
 import os
@@ -269,6 +270,28 @@ class TestModelBinding:
         entries.update({k: fused.get(k) for k in ("res.msrep5.fused.kernel", "res.msrep5.fused.bias")})
         with pytest.raises(MissingParameterError, match="res.msrep4.fused.kernel"):
             Model.from_archive(SMALL, WeightArchive(entries=entries))
+
+    def test_bind_copies_no_weight(self, small_archive):
+        """At 64 every array a bundle holds is its archive entry itself, and
+        every entry but the two ENMoE scalars per level is held: binding
+        adds no copy of any weight.  The positional code ape is computed,
+        not bound."""
+        names = {id(a): name for name, a in small_archive.entries.items()}
+        held = set()
+
+        def walk(obj, where):
+            if isinstance(obj, np.ndarray) and not where.endswith(".ape"):
+                assert id(obj) in names, where
+                held.add(names[id(obj)])
+            elif isinstance(obj, tuple):
+                for i, item in enumerate(obj):
+                    walk(item, f"{where}[{i}]")
+            elif dataclasses.is_dataclass(obj):
+                for field in dataclasses.fields(obj):
+                    walk(getattr(obj, field.name), f"{where}.{field.name}")
+
+        walk(Model.from_archive(SMALL, small_archive), "model")
+        assert set(small_archive.entries) - held == {n for n in small_archive.entries if "theta" in n}
 
     def test_non_finite_weight_rejected_at_bind(self, small_archive):
         """The archive rejects the entry when it is built, so no bind sees it."""

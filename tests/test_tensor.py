@@ -15,6 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmvg import tensor
+from nmvg.encoders import TextEncoderParams, TokenSequence
+from nmvg.fusion import DeformParams, EcaParams, TmdfParams
+from nmvg.heads import BinaryMask
+from nmvg.metrics import EnergyTrace
 from nmvg.tensor import (
     BNParams,
     ConvParams,
@@ -1132,3 +1136,57 @@ def test_sigmoid_matches_reference_midrange():
     rng = np.random.default_rng(12)
     x = (8 * rng.standard_normal((1, 1, 10, 10))).astype(np.float32)
     np.testing.assert_allclose(activation(x, "sigmoid"), sigmoid_ref(x), atol=1e-6)
+
+
+def _bundle_fields():
+    """Every array field of the eight bundles: (bundle, valid arguments,
+    field, stored dtype, a value with a wrong leading length or None for a
+    field with no leading dims)."""
+    c, f32, bn = 4, np.float32, {n: np.ones(4) for n in ("gamma", "beta", "running_mean", "running_var")}
+    dw = ConvParams(np.ones((c, 1, 1, 1)), groups=c)
+    offset, main = (ConvParams(np.ones((co, c, 3, 3)), padding=1) for co in (18, c))
+    tmdf = dict(
+        w_img=dw, w_radar=dw, eca=EcaParams(np.ones(3)), deform=DeformParams(offset, main),
+        lpe=np.ones((1, c, 5, 5)), w_text=np.ones((c, c)), w_text_bias=np.ones(c), ape=np.ones((c, 6)),
+    )
+    energy = dict(sample_ids=("a", "b", "c"), trained=np.full(3, 2.0), untrained=np.ones(3), tau_evals=3)
+    tokens = dict(ids=np.arange(5), padding_mask=np.zeros(5, dtype=bool))
+    conv = dict(kernel=np.ones((c, 2, 3, 3)), bias=np.ones(c))
+    cases = [
+        (ConvParams, conv, "kernel", f32, None),
+        (ConvParams, conv, "bias", f32, np.ones(3)),
+        (BNParams, bn, "gamma", f32, None),
+        *((BNParams, bn, n, f32, np.ones(3)) for n in ("beta", "running_mean", "running_var")),
+        (EcaParams, dict(weights=np.ones(3)), "weights", f32, None),
+        (TmdfParams, tmdf, "lpe", f32, np.ones((2, c, 5, 5))),
+        (TmdfParams, tmdf, "w_text", f32, np.ones((3, c))),
+        (TmdfParams, tmdf, "w_text_bias", f32, np.ones(3)),
+        (TmdfParams, tmdf, "ape", f32, np.ones((3, 6))),
+        (TextEncoderParams, dict(embedding=np.ones((7, c))), "embedding", f32, None),
+        (TokenSequence, tokens, "ids", np.int64, None),
+        (TokenSequence, tokens, "padding_mask", bool, np.zeros(4, dtype=bool)),
+        (BinaryMask, dict(bitmap=np.eye(3)), "bitmap", np.uint8, None),
+        (EnergyTrace, energy, "trained", np.float64, None),
+        (EnergyTrace, energy, "untrained", np.float64, np.ones(2)),
+    ]
+    return [pytest.param(*case, id=f"{case[0].__name__}.{case[2]}") for case in cases]
+
+
+@pytest.mark.parametrize("bundle, kwargs, field, dtype, wrong_lead", _bundle_fields())
+def test_bundle_field_follows_the_one_rule(bundle, kwargs, field, dtype, wrong_lead):
+    """Each array field is cast to its dtype and stored C-contiguous, and a
+    wrong ndim or leading length raises ShapeError naming the field.  The
+    float64 input is Fortran-ordered, or for a 1-D field a strided view,
+    since a 1-D array is in both orders."""
+    valid = kwargs[field]
+    for value in (valid[..., None], wrong_lead):
+        if value is not None:
+            with pytest.raises(ShapeError, match=f"^{field} must be {valid.ndim}-D"):
+                bundle(**{**kwargs, field: value})
+    src = np.asfortranarray(valid.astype(np.float64))
+    if src.ndim == 1:
+        src = np.stack([src, src], axis=1)[:, 0]
+    assert not src.flags.c_contiguous
+    stored = getattr(bundle(**{**kwargs, field: src}), field)
+    assert stored.dtype == dtype and stored.flags.c_contiguous
+    np.testing.assert_array_equal(stored, valid.astype(dtype))
