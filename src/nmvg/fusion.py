@@ -247,6 +247,17 @@ class TmdfParams:
         _own(self, "w_text", 2, (c, c))
         _own(self, "w_text_bias", 1, (c,))
         _own(self, "ape", 2, (c,))
+        # Widths only: building a bundle makes no pass over its weights.
+        for name, conv, emits in (
+            ("w_img", self.w_img, True),
+            ("w_radar", self.w_radar, True),
+            ("deform.main", self.deform.main, True),
+            ("deform.offset_conv", self.deform.offset_conv, False),
+        ):
+            if conv.in_channels != c or (emits and conv.out_channels != c):
+                raise ShapeError(
+                    f"{name} maps {conv.in_channels} to {conv.out_channels} channels, lpe has {c}"
+                )
 
 
 def tmdf_fuse(

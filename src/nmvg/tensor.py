@@ -28,14 +28,14 @@ result equals the separate passes bit for bit.  A tile hook runs after
 that epilogue, on the tile's core.
 
 Threading: ``_map_tiles`` runs a conv's tiles on one thread per core the
-process may run on, each pulling runs of consecutive tiles from one
-queue; the calling thread is one of them and a module-level pool of
-cores - 1 threads runs the others, while numpy releases the GIL inside
-each copy, ufunc and matmul.  The calling thread allocates every
-thread's buffers, and each pool job runs in a copy of the caller's
-context, so the caller's ``np.errstate`` holds there too.  Tiles, tap
-order and GEMM shapes do not depend on the split, so outputs are bitwise
-the same on any core count.
+process may run on, each pulling the next tile from one queue; the
+calling thread is one of them and a module-level pool of cores - 1
+threads runs the others, while numpy releases the GIL inside each copy,
+ufunc and matmul.  The calling thread allocates every thread's buffers,
+and each pool job runs in a copy of the caller's context, so the
+caller's ``np.errstate`` holds there too.  Tiles, tap order and GEMM
+shapes do not depend on the split, so outputs are bitwise the same on
+any core count.
 The pool (and ``concurrent.futures``) is made by the first conv that
 spans two threads, and made again by a forked child's first such conv.
 With more than one core, importing this module puts numpy's bundled
@@ -267,34 +267,25 @@ def conv2d(
     ho, wo = _out_extent(p, h, w)
     out = _conv_out(x, p, (n, co, ho, wo), out, hook)
     make_emit = _emitter(out, co, bn, act, hook)
-    _, wq = _plane_extent(x, p, 0)
     if p.groups != c:
-        # A block of about _TILE plane elements serves every column tile in
-        # it, so the rows a tap reads beyond a tile are built once a block.
         # The planes stay float32: the im2col copy does the cast, and
         # float64 planes would double the bytes each tap reads.
-        span = max(1, _TILE // (n * c * s * s * wq))
-
         def make_fill(rows):
-            buf = _plane_buffer(x, p, min(ho, max(span, rows)), np.float32)
-            planes, p0, p1 = None, 0, 0
+            buf = _plane_buffer(x, p, rows, np.float32)
 
             def fill(cols, r0, r1):
-                nonlocal planes, p0, p1
-                if r0 < p0 or r1 > p1:
-                    p0, p1 = r0, min(ho, r0 + max(span, r1 - r0))
-                    planes = _planes(x, p, p0, p1, buf)
+                planes = _planes(x, p, r0, r1, buf)
                 for t in range(kh * kw):
                     i, j = divmod(t, kw)
                     plane = planes[:, :, (i % s) * s + j % s]
-                    top = r0 - p0 + i // s
-                    cols[:, :, t] = plane[:, :, top : top + r1 - r0, j // s : j // s + wo]
+                    cols[:, :, t] = plane[:, :, i // s : i // s + r1 - r0, j // s : j // s + wo]
 
             return fill
 
         _contract_rows((n, co, ho, wo), p, make_fill, make_emit)
         return out
     m = co // c
+    _, wq = _plane_extent(x, p, 0)
     k64 = p.kernel.astype(np.float64).reshape(c, m, kh * kw, 1)
     bias = None if p.bias is None else p.bias.astype(np.float64).reshape(c, m, 1)
     # Tap (i, j) of output (r, q) is plane (i % s, j % s) at row r + i // s,
@@ -489,21 +480,18 @@ def _map_tiles(tiles: list, make_tile: Callable[[], Callable]) -> None:
     ``make_tile()`` is called on the calling thread once per thread and
     returns that thread's ``tile``, so every work buffer is allocated here
     and not in a pool thread (glibc would keep each thread's freed
-    temporaries in that thread's own malloc arena).  The tiles are cut
-    into about four runs of consecutive tiles per thread, and each thread
-    pulls the next run from one shared iterator until none is left, so a
-    thread that finishes early takes more.  The calling thread is one of
-    them and ``_pool()`` runs the others, so one thread never touches (or
-    makes) the pool.  Each tile writes its own slice of the output, so the
-    split changes no bit.  Once a tile raises, no thread starts another
-    run, and the first exception is raised once every thread has
-    stopped.
+    temporaries in that thread's own malloc arena).  Each thread pulls the
+    next tile from one shared iterator until none is left, so a thread
+    that finishes early takes more.  The calling thread is one of them and
+    ``_pool()`` runs the others, so one thread never touches (or makes)
+    the pool.  Each tile writes its own slice of the output, so the split
+    changes no bit.  Once a tile raises, no thread starts another tile,
+    and the first exception is raised once every thread has stopped.
     """
     k = min(_CORES, len(tiles))
-    m = min(len(tiles), 4 * k)
-    runs = iter([tiles[len(tiles) * i // m : len(tiles) * (i + 1) // m] for i in range(m)])
+    queue = iter(tiles)
     failed = []
-    jobs = [(make_tile(), runs, failed) for _ in range(k)]
+    jobs = [(make_tile(), queue, failed) for _ in range(k)]
     # np.errstate is per context: a pool job runs in a copy of the caller's.
     futures = [_pool().submit(contextvars.copy_context().run, _run_chunk, *job) for job in jobs[1:]]
     _run_chunk(*jobs[0])
@@ -513,8 +501,8 @@ def _map_tiles(tiles: list, make_tile: Callable[[], Callable]) -> None:
         raise failed[0]
 
 
-def _run_chunk(tile: Callable, runs: Iterator[list], failed: list) -> None:
-    """Run ``tile`` over each run pulled from ``runs`` until none is left
+def _run_chunk(tile: Callable, tiles: Iterator, failed: list) -> None:
+    """Run ``tile`` on each tile pulled from ``tiles`` until none is left
     or a tile of any thread has raised; an exception goes to ``failed``.
     The tiles run with ufunc buffers of ``_BUFSIZE`` elements, which
     changes no bit: they run no reduction, whose pairwise blocking depends
@@ -522,11 +510,10 @@ def _run_chunk(tile: Callable, runs: Iterator[list], failed: list) -> None:
     errstate would not)."""
     bufsize = np.setbufsize(_BUFSIZE)
     try:
-        for run in runs:  # next() on a list iterator is atomic under the GIL
+        for t in tiles:  # next() on a list iterator is atomic under the GIL
             if failed:
                 return
-            for t in run:
-                tile(t)
+            tile(t)
     except BaseException as e:  # re-raised by _map_tiles
         failed.append(e)
     finally:

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -40,6 +42,20 @@ class TestEca:
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
             EcaParams(weights=np.zeros(4, dtype=np.float32))
+
+    def test_logits_formed_in_float64(self):
+        """The 3-tap logits are float64 sums of the float32 pooled values
+        times the weights, rounded once to float32; the gate and product
+        follow the runtime's own steps."""
+        rng = np.random.default_rng(12)
+        x = (10 * rng.standard_normal((2, 64, 3, 4))).astype(np.float32)
+        w = rng.standard_normal(3).astype(np.float32)
+        padded = np.pad(tensor.global_avg_pool(x), ((0, 0), (1, 1))).tolist()
+        logits = np.float32(
+            [[math.fsum(np.multiply(row[ch : ch + 3], w.tolist())) for ch in range(64)] for row in padded]
+        )
+        want = x * tensor.activation(logits, "sigmoid")[:, :, None, None]
+        assert eca(x, EcaParams(weights=w)).tobytes() == want.tobytes()
 
 
 def _deform_params(rng, c, offset_scale=0.1, zero=False):
@@ -358,6 +374,16 @@ class TestScaledAttend:
         with pytest.raises(ShapeError):
             scaled_attend(np.zeros((1, 3, 2), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
 
+    def test_softmax_at_extreme_similarities(self):
+        """Similarities near +-1e4 overflow exp unless each row is shifted
+        by its maximum first."""
+        q = np.full((2, 4, 6), 100.0, dtype=np.float32)
+        kv = np.tile(np.float32([50.0, -50.0, 49.9, 0.0, -25.0]), (4, 1))  # 1e4, -1e4, 9980, 0, -5e3
+        with np.errstate(all="ignore"):
+            ctx, sim = scaled_attend(q, kv, normalize=True)
+        assert np.isfinite(sim).all() and np.isfinite(ctx).all()
+        np.testing.assert_allclose(sim.astype(np.float64).sum(axis=2), 1.0, atol=1e-6)
+
 
 class TestTmdfFuse:
     def test_zero_text_zero_ape_annihilates(self):
@@ -506,6 +532,38 @@ class TestTmdfFuse:
                 np.zeros((2, 2), dtype=np.float32),
                 p,
             )
+
+    @pytest.mark.parametrize(
+        "field,kernel",
+        [
+            ("w_img", (8, 4, 1, 1)),
+            ("w_radar", (8, 4, 1, 1)),
+            ("deform.main", (8, 4, 3, 3)),
+            ("deform.offset_conv", (18, 8, 3, 3)),
+        ],
+    )
+    def test_conv_widths_checked_against_lpe(self, field, kernel):
+        """An lpe of (1, 4, 8, 8) fixes C = 4: a conv that emits 8 channels,
+        or an offset conv that takes 8, is refused when the bundle is built,
+        with ShapeError naming the field."""
+        p = rand_tmdf(np.random.default_rng(14), 4, 8, 8, 6)
+        conv = ConvParams(np.ones(kernel, dtype=np.float32), padding=kernel[2] // 2)
+        parts = {"w_img": p.w_img, "w_radar": p.w_radar, "deform": p.deform}
+        if field.startswith("deform."):
+            parts["deform"] = dataclasses.replace(p.deform, **{field.split(".")[1]: conv})
+        else:
+            parts[field] = conv
+        with pytest.raises(ShapeError, match=f"^{field} maps"):
+            dataclasses.replace(p, **parts)
+
+    def test_eight_channel_convs_refused_before_any_conv_runs(self):
+        """w_img, w_radar and deform.main of an 8-channel stage with the
+        arrays of a 4-channel one: refused at construction, not by a
+        broadcast error after three convs."""
+        rng = np.random.default_rng(15)
+        p, wide = rand_tmdf(rng, 4, 8, 8, 6), rand_tmdf(rng, 8, 8, 8, 6)
+        with pytest.raises(ShapeError, match="^w_img maps 8 to 8 channels, lpe has 4$"):
+            dataclasses.replace(p, w_img=wide.w_img, w_radar=wide.w_radar, deform=wide.deform)
 
     def test_mismatched_stages_rejected(self):
         rng = np.random.default_rng(10)

@@ -317,6 +317,26 @@ class TestForward:
         assert out.downsample_ratio == 4
         assert np.isfinite(out.mask_logits).all()
 
+    def test_enmoe_routes_a_level_of_exactly_min_extent(self, monkeypatch):
+        """At input 160 stage 3 is 5x5, exactly ENMoE's MIN_EXTENT, so all
+        four levels are routed (narrow widths keep the model small)."""
+        cfg = RunConfig(input_size=160, stage_channels=(4, 4, 4, 4), fpn_channels=4, embed_dim=4, text_len=8)
+        model = Model.from_archive(cfg, generate_archive(cfg))
+        routed, enmoe_forward = [], model_mod.enmoe_forward
+
+        def spy(f, p):
+            routed.append(f.shape[2:])
+            return enmoe_forward(f, p)
+
+        monkeypatch.setattr(model_mod, "enmoe_forward", spy)
+        rng = np.random.default_rng(5)
+        model.forward(
+            rng.random((1, 3, 160, 160), dtype=np.float32),
+            rng.standard_normal((1, 3, 160, 160)).astype(np.float32),
+            tokenize("the red buoy", list(DEFAULT_VOCAB), cfg.text_len),
+        )
+        assert routed == [(40, 40), (20, 20), (10, 10), (5, 5)]
+
     def test_deterministic_forward(self, small_archive):
         model = Model.from_archive(SMALL, small_archive)
         rng = np.random.default_rng(1)

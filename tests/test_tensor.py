@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import select
 import subprocess
@@ -7,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -167,8 +169,8 @@ class TestConvTiles:
             (1, 3, 9, 8, 3, 3, 1, 2, 0),  # depthwise 1x1 stride 2
             (1, 3, 11, 8, 4, 1, 1, 2, 1),  # dense 1x1 stride 2, padded
             (1, 3, 7, 5, 4, 1, 1, 1, 0),  # dense 1x1: planes are a view of x
-            (1, 2, 40, 5, 3, 1, 3, 1, 1),  # dense, three plane blocks of several tiles
-            (1, 2, 21, 41, 3, 1, 3, 2, 1),  # dense stride 2, two tiles per plane block
+            (1, 2, 40, 5, 3, 1, 3, 1, 1),  # dense, tall and narrow: many tiles
+            (1, 2, 21, 41, 3, 1, 3, 2, 1),  # dense stride 2, many tiles
         ],
     )
     def test_small_tiles_match_loop_oracle(
@@ -317,17 +319,18 @@ class TestConvTiles:
 
 
 def _thread_spy(monkeypatch):
-    """Record, for every ``_map_tiles`` call, the threads that built each
-    tile thread's buffers and the threads that ran its tiles.
+    """Record, for every ``_map_tiles`` call, its tiles, the threads that
+    built each tile thread's buffers, the threads that ran its tiles and
+    every tile run, in the order run.
 
     Each tile thread holds its first tile until every tile thread holds
-    one, so on a busy host no thread can take every run (with at least one
-    run per thread, every thread then runs a tile)."""
+    one, so on a busy host no thread can take every tile (with at least one
+    tile per thread, every thread then runs a tile)."""
     calls = []
     map_tiles = tensor._map_tiles
 
     def spy(tiles, make_tile):
-        made, ran, barriers = [], set(), {}
+        made, ran, barriers, done = [], set(), {}, []
 
         def make_tile_spy():
             made.append(threading.get_ident())
@@ -336,6 +339,7 @@ def _thread_spy(monkeypatch):
 
             def tile_spy(t):
                 ran.add(threading.get_ident())
+                done.append(t)  # list.append is atomic under the GIL
                 if not held:
                     held.append(t)
                     # Every tile thread is made before any tile runs, and
@@ -345,7 +349,7 @@ def _thread_spy(monkeypatch):
 
             return tile_spy
 
-        calls.append((len(tiles), made, ran))
+        calls.append((list(tiles), made, ran, done))
         map_tiles(tiles, make_tile_spy)
 
     monkeypatch.setattr(tensor, "_map_tiles", spy)
@@ -387,10 +391,12 @@ class TestCorePool:
             cores(k)
             outs.append(conv2d(x, p))
         main = threading.get_ident()
-        (n1, made1, ran1), (n2, made2, ran2), (n3, made3, ran3) = calls
-        assert n1 == n2 == n3 >= 3
+        (t1, made1, ran1, _), (t2, made2, ran2, _), (t3, made3, ran3, _) = calls
+        assert t1 == t2 == t3 and len(t1) >= 3
         assert made1 == [main] and made2 == [main] * 2 and made3 == [main] * 3
         assert ran1 == {main} and len(ran2) == 2 and len(ran3) == 3 and main in ran2 & ran3
+        # Each tile ran exactly once: equal bits cannot show a tile run twice.
+        assert all(Counter(done) == Counter(tiles) for tiles, _, _, done in calls)
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -410,20 +416,37 @@ class TestCorePool:
         for i in range(3):
             assert batch[i].tobytes() == conv2d(x[i : i + 1], p)[0].tobytes()
 
+    def test_shared_queue_hands_out_each_tile_once(self, cores):
+        """Four threads on a host with fewer cores, switching every few
+        microseconds, pull 3000 tiles from the one queue: each runs once."""
+        cores(4)
+        ran = []
+
+        def make_tile():
+            return ran.append
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tensor._map_tiles(list(range(3000)), make_tile)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(3000))
+
     def test_one_tile_runs_inline(self, monkeypatch, cores):
         cores(3)
         calls = _thread_spy(monkeypatch)
         x = np.ones((1, 2, 4, 4), dtype=np.float32)
         conv2d(x, ConvParams(np.ones((2, 2, 3, 3), dtype=np.float32), padding=1))
-        assert calls == [(1, [threading.get_ident()], {threading.get_ident()})]
+        assert calls == [([0], [threading.get_ident()], {threading.get_ident()}, [0])]
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_raised_once_every_chunk_finished(self, cores, failing):
-        """Twelve one-tile runs on three threads: tiles 0-2 start, one per
+        """Twelve tiles on three threads: tiles 0-2 start, one per
         thread.  Then the tile on the calling thread (failing 0) or on a
         pool thread (failing 1) raises KeyError at once, another raises
         IndexError after 0.05 s and the third returns after 0.1 s.  The
-        KeyError is raised, once the last tile has returned, and no run
+        KeyError is raised, once the last tile has returned, and no tile
         starts after the failure."""
         cores(3)
         main = threading.get_ident()
@@ -1096,6 +1119,16 @@ class TestGlobalAvgPool:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
         np.testing.assert_allclose(global_avg_pool(x), gap_ref(x), atol=1e-6)
+
+    def test_sums_in_float64(self):
+        """One 2^25 and 2047 ones per channel: a float32 sum drops ones
+        (2^25 + 1 rounds to 2^25), so only a float64 sum gives the exact
+        mean, rounded once to float32."""
+        x = np.ones((2, 3, 32, 64), dtype=np.float32)
+        for ch, (r, c) in enumerate(((0, 0), (5, 17), (31, 63))):
+            x[:, ch, r, c] = 2.0**25
+        want = [np.float32(math.fsum(m.ravel().tolist()) / m.size) for m in x.reshape(6, 32, 64)]
+        assert global_avg_pool(x).ravel().tolist() == want
 
 
 class TestFeatureMap:
