@@ -13,7 +13,6 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .archive import load_archive, save_archive
-from .losses import LossConfig
 from .metrics import EnergyTrace, average_precision, mask_miou, mept
 from .model import RunConfig, fuse_archive, generate_fixtures, run_infer
 from .rasters import read_boxes, read_mask
@@ -83,9 +82,7 @@ def _cmd_mept(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    loss_cfg = LossConfig.from_file(args.loss_config) if args.loss_config else None
-    failures = selftest_mod.run(loss_cfg)
-    return 0 if failures == 0 else 2
+    return 0 if selftest_mod.run() == 0 else 2
 
 
 def _cmd_gen_fixtures(args) -> int:
@@ -140,7 +137,6 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_mept)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
-    p.add_argument("--loss-config", help="key = value loss settings file to parse and echo")
     p.set_defaults(fn=_cmd_selftest)
 
     p = sub.add_parser("gen-fixtures", help="write seeded demo weights, inputs and annotations")

@@ -2,7 +2,7 @@
 
 The fusion and head modules only care about the interface: four image and
 radar stages at 1/4, 1/8, 1/16 and 1/32 of the input resolution with a
-configured channel count per stage, and a (embed_dim, L) text feature with
+fixed channel count per stage, and a (embed_dim, L) text feature with
 a fixed token budget.  The encoders here are deliberately small: separable
 convolutions for the image branch, depthwise residual blocks for radar and
 a plain embedding lookup for text.  They do not check their inputs:

@@ -15,11 +15,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .model import read_settings
 
 log = logging.getLogger(__name__)
 
@@ -47,13 +44,6 @@ class LossConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
-    @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "LossConfig":
-        """Parse a settings file of `key = value` lines; overrides win."""
-        values = read_settings(path, dict.fromkeys(cls.__dataclass_fields__, float), cls)
-        values.update({k: float(v) for k, v in overrides.items()})
-        return cls(**values)
-
 
 @dataclass(frozen=True)
 class UncertaintyWeights:
@@ -62,10 +52,22 @@ class UncertaintyWeights:
     log_sigma1: float = 0.0
     log_sigma2: float = 0.0
 
+    def __post_init__(self):
+        """Each log-sigma must give a finite, positive sigma and sigma²."""
+        for name in ("log_sigma1", "log_sigma2"):
+            log_sigma = getattr(self, name)
+            try:
+                sigma = math.exp(log_sigma)
+            except OverflowError:
+                sigma = math.inf
+            if not 0.0 < sigma * sigma < math.inf:
+                raise ValueError(f"{name} must give a finite positive sigma and sigma², got {log_sigma}")
+
     @classmethod
     def from_sigmas(cls, sigma1: float, sigma2: float) -> "UncertaintyWeights":
-        if sigma1 <= 0 or sigma2 <= 0:
-            raise ValueError(f"sigmas must be positive, got {sigma1}, {sigma2}")
+        for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise ValueError(f"{name} must be finite and positive, got {sigma}")
         return cls(log_sigma1=math.log(sigma1), log_sigma2=math.log(sigma2))
 
     @property
@@ -375,7 +377,11 @@ def total_loss(l_rec: float, l_res: float, u: UncertaintyWeights = UncertaintyWe
           + log sigma1 + log sigma2
 
     With both sigmas at 1 this is exactly half the sum of the two parts.
+    A NaN or infinite loss term raises ValueError naming it.
     """
+    for name, term in (("l_rec", l_rec), ("l_res", l_res)):
+        if not math.isfinite(term):
+            raise ValueError(f"{name} must be finite, got {term}")
     s1 = u.sigma1
     s2 = u.sigma2
     return (

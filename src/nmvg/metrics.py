@@ -11,6 +11,7 @@ percentage scale.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +31,12 @@ def _as_box(b) -> tuple[float, float, float, float]:
 
 
 def box_iou(a, b) -> float:
-    """Intersection over union of two (cx, cy, w, h) boxes."""
-    acx, acy, aw, ah = _as_box(a)
-    bcx, bcy, bw, bh = _as_box(b)
+    """Intersection over union of two (cx, cy, w, h) boxes, which must be
+    finite and of positive area."""
+    a, b = _as_box(a), _as_box(b)
+    if not all(map(math.isfinite, a + b)):
+        raise ValueError(f"boxes must be finite, got {a} and {b}")
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
     if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
         raise ValueError("boxes must have positive area")
     ix = min(acx + aw / 2, bcx + bw / 2) - max(acx - aw / 2, bcx - bw / 2)

@@ -12,12 +12,12 @@ in isolation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -71,33 +71,6 @@ DEFAULT_VOCAB = (
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def read_settings(path: str | Path, parsers: dict, check: Callable[..., object]) -> dict:
-    """The `key = value` lines of a settings file, each value run through
-    the parser of its key and then checked alone as ``check(key=value)``.
-
-    `#` starts a comment at the start of a line or after whitespace, so a
-    value may hold one (`/tmp/a#b`); blank lines are skipped. A line
-    without `=`, a key missing from `parsers`, or a value its parser or
-    ``check`` rejects raises ValueError naming `path:line`.
-    """
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = _COMMENT.split(raw, 1)[0].strip()
-        if not line:
-            continue
-        key, eq, val = (part.strip() for part in line.partition("="))
-        if not eq:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-        if key not in parsers:
-            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        try:
-            values[key] = parsers[key](val)
-            check(**{key: values[key]})
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return values
-
-
 def _parse_bool(val: str) -> bool:
     low = val.lower()
     if low not in ("true", "false", "1", "0"):
@@ -107,7 +80,6 @@ def _parse_bool(val: str) -> bool:
 
 #: Settings whose file value is not a plain integer.
 _PARSERS = {
-    "stage_channels": lambda val: tuple(int(v) for v in val.split(",")),
     "attention_normalize": _parse_bool,
     "score_thresh": float,
     "mask_thresh": float,
@@ -118,9 +90,6 @@ _PARSERS = {
 @dataclass(frozen=True)
 class RunConfig:
     input_size: int = 640
-    stage_channels: tuple[int, int, int, int] = (16, 32, 64, 96)
-    fpn_channels: int = 64
-    embed_dim: int = 64
     text_len: int = 50
     attention_normalize: bool = False
     head_scale: int = 2
@@ -132,18 +101,15 @@ class RunConfig:
 
     def __post_init__(self):
         """The one check of every field, whether set in code, a file or a flag."""
-        ch = tuple(int(c) for c in self.stage_channels)
-        object.__setattr__(self, "stage_channels", ch)
+        for name in ("input_size", "text_len", "head_scale", "topk", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.input_size < 32 or self.input_size % 32:
             raise ValueError(f"input_size must be a positive multiple of 32, got {self.input_size}")
-        if len(ch) != 4:
-            raise ValueError(f"exactly four stage channel counts required, got {len(ch)}")
-        if any(c < 1 for c in ch):
-            raise ValueError(f"stage channels must be positive, got {ch}")
-        if any(ch[i + 1] < ch[i] for i in range(3)):
-            raise ValueError(f"stage channels must be non-decreasing, got {ch}")
         # text_len covers at least one k3/s2 text pooling window
-        for name, low in (("fpn_channels", 1), ("embed_dim", 1), ("text_len", 3), ("topk", 1)):
+        for name, low in (("text_len", 3), ("topk", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.head_scale not in (2, 3, 4, 5):
@@ -165,9 +131,30 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        """Read a settings file; overrides that are not None win."""
-        parsers = {name: _PARSERS.get(name, int) for name in cls.__dataclass_fields__}
-        values = read_settings(path, parsers, cls)
+        """Read a settings file of `key = value` lines; overrides that are
+        not None win.
+
+        `#` starts a comment at the start of a line or after whitespace, so a
+        value may hold one (`/tmp/a#b`); blank lines are skipped. Each value
+        is parsed for its field and checked alone. A line without `=`, an
+        unknown key, or a value that does not parse or is out of range
+        raises ValueError naming `path:line`.
+        """
+        values = {}
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            line = _COMMENT.split(raw, 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+            try:
+                values[key] = _PARSERS.get(key, int)(val)
+                cls(**{key: values[key]})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -238,15 +225,20 @@ def _msrep(b: _Binder, p: str, f: int, fused: bool) -> MsRepParams | ConvParams:
     )
 
 
+#: The model's fixed widths: the four encoder stages, the pyramid levels
+#: and the text embedding. An archive of other widths fails to bind.
+STAGE_CHANNELS = (16, 32, 64, 96)
+FPN_CHANNELS = 64
+EMBED_DIM = 64
+
+
 def _bind(cfg: RunConfig, b: _Binder, fused: bool) -> dict:
     """Every parameter bundle of the model, keyed by its Model field.
 
     Arguments evaluate left to right, so the order below is the binding
     order, which is also the byte order of generated archives.
     """
-    ch = cfg.stage_channels
-    f = cfg.fpn_channels
-    e = cfg.embed_dim
+    ch, f, e = STAGE_CHANNELS, FPN_CHANNELS, EMBED_DIM
 
     def sep(prefix, cin, cout) -> SeparableDown:
         return SeparableDown(
@@ -596,7 +588,6 @@ def generate_fixtures(out_dir: str | Path, cfg: RunConfig) -> dict[str, Path]:
     # Every setting, each in the form RunConfig.from_file reads back to the
     # same value; the archive's token table has one row per word of vocab.txt.
     settings = {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
-    settings["stage_channels"] = ",".join(str(c) for c in cfg.stage_channels)
     settings["vocab_path"] = paths["vocab"].resolve()
     paths["config"] = out / "run.cfg"
     paths["config"].write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")

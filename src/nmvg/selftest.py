@@ -27,7 +27,6 @@ from .fusion import (
 )
 from .heads import MsRepParams, decode_boxes, msrep_forward, msrep_fuse
 from .losses import (
-    LossConfig,
     UncertaintyWeights,
     ciou_wh_loss,
     conf_loss,
@@ -427,13 +426,8 @@ CHECKS = [
 ]
 
 
-def run(loss_config: LossConfig | None = None) -> int:
+def run() -> int:
     """Run every check; returns the number of failures."""
-    if loss_config is not None:
-        print(
-            f"loss config: tau=({loss_config.tau1:g}, {loss_config.tau2:g}, {loss_config.tau3:g}) "
-            f"lambda=({loss_config.lambda1:g}, {loss_config.lambda2:g})"
-        )
     failures = 0
     for name, fn in CHECKS:
         try:

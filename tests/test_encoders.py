@@ -10,7 +10,7 @@ from nmvg.encoders import (
     text_encoder,
     tokenize,
 )
-from nmvg.model import DEFAULT_VOCAB, Model, RunConfig, generate_archive
+from nmvg.model import DEFAULT_VOCAB, STAGE_CHANNELS, Model, RunConfig, generate_archive
 from nmvg.tensor import ShapeError
 from oracles import bn_ref, conv2d_ref
 
@@ -24,30 +24,34 @@ def small_model():
 
 
 class TestConfig:
-    """The encoder widths and token budget, checked by RunConfig."""
-
-    def test_channels_must_not_decrease(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            RunConfig(stage_channels=(16, 8, 32, 64))
+    """The fixed encoder widths, and the token budget and integer fields
+    checked by RunConfig."""
 
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.stage_channels == (16, 32, 64, 96)
+        assert STAGE_CHANNELS == (16, 32, 64, 96)
         assert cfg.text_len == 50
 
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("stage_channels", (16, 32, 64), "exactly four"),
-            ("stage_channels", (0, 32, 64, 96), "must be positive"),
             ("text_len", 0, "text_len"),
             ("text_len", 2, "text_len must be >= 3"),
-            ("embed_dim", 0, "embed_dim"),
+            ("input_size", 64.0, "input_size must be an integer, got 64.0"),
+            ("text_len", 8.5, "text_len must be an integer"),
+            ("head_scale", 2.0, "head_scale must be an integer"),
+            ("topk", "3", "topk must be an integer, got '3'"),
+            ("seed", None, "seed must be an integer, got None"),
         ],
     )
     def test_out_of_range_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**{field: value})
+
+    def test_numpy_integers_accepted_as_ints(self):
+        cfg = RunConfig(input_size=np.int64(64), topk=np.int32(3), seed=np.uint8(4))
+        assert (cfg.input_size, cfg.topk, cfg.seed) == (64, 3, 4)
+        assert type(cfg.input_size) is int
 
 
 class TestTokenize:

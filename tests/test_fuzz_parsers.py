@@ -47,7 +47,6 @@ _NETPBM = _fuzz_bytes(
 _BOXES = _fuzz_bytes(b"", b"1 2 3 4 0.5\n", b"1 2 3 4\n")
 _TRACE = _fuzz_bytes(b"", b"sample_id,energy_trained,energy_untrained\n", b"sample_id,energy_trained,energy_untrained\ns0,5,")
 _CONFIG = _fuzz_bytes(b"", *(f"{k} = ".encode() for k in RunConfig.__dataclass_fields__))
-_LOSS_CONFIG = _fuzz_bytes(b"", *(f"{k} = ".encode() for k in LossConfig.__dataclass_fields__))
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +102,6 @@ def test_energy_trace_from_csv(fuzz_file, data):
 @given(data=_CONFIG)
 def test_run_config_from_file(fuzz_file, data):
     _parse(fuzz_file, data, RunConfig.from_file)
-
-
-@FUZZ
-@given(data=_LOSS_CONFIG)
-def test_loss_config_from_file(fuzz_file, data):
-    _parse(fuzz_file, data, LossConfig.from_file)
 
 
 _NON_NEGATIVE = ("alpha_conf", "beta_conf", "alpha_res", "gamma_res")

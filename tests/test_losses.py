@@ -33,35 +33,6 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="gamma_res"):
             LossConfig(gamma_res=-1.0)
 
-    def test_from_file_with_comments_and_overrides(self, tmp_path):
-        f = tmp_path / "loss.cfg"
-        f.write_text("# comment\nalpha_conf = 3\ntau2 = 0.5  # inline\n")
-        cfg = LossConfig.from_file(f, tau2=0.9)
-        assert cfg.alpha_conf == 3.0
-        assert cfg.tau2 == 0.9
-
-    def test_from_file_rejects_unknown_key(self, tmp_path):
-        f = tmp_path / "loss.cfg"
-        f.write_text("warp_factor = 9\n")
-        with pytest.raises(ValueError, match="warp_factor"):
-            LossConfig.from_file(f)
-
-    @pytest.mark.parametrize(
-        "line,message", [("tau1 = nan", "tau1 must be finite"), ("gamma_res = -1", "gamma_res must be non-negative")]
-    )
-    def test_from_file_out_of_range_value_names_its_line(self, tmp_path, line, message):
-        f = tmp_path / "loss.cfg"
-        f.write_text(f"# weights\nalpha_conf = 3\n{line}\n")
-        key = line.split()[0]
-        with pytest.raises(ValueError, match=f"loss.cfg:3: {key}: {message}"):
-            LossConfig.from_file(f)
-
-    def test_from_file_rejects_bare_line(self, tmp_path):
-        f = tmp_path / "loss.cfg"
-        f.write_text("alpha_conf\n")
-        with pytest.raises(ValueError, match="key = value"):
-            LossConfig.from_file(f)
-
 
 class TestUncertaintyWeights:
     def test_sigma_round_trip(self):
@@ -72,6 +43,26 @@ class TestUncertaintyWeights:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
             UncertaintyWeights.from_sigmas(0.0, 1.0)
+
+    @pytest.mark.parametrize("name,sigmas", [("sigma1", (math.nan, 1.0)), ("sigma2", (1.0, math.inf))])
+    def test_non_finite_sigma_rejected(self, name, sigmas):
+        """A NaN sigma was stored as a NaN log-sigma."""
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            UncertaintyWeights.from_sigmas(*sigmas)
+
+    @pytest.mark.parametrize(
+        "name,log_sigmas",
+        [
+            ("log_sigma1", (800.0, 0.0)),  # sigma overflows: sigma1 raised OverflowError
+            ("log_sigma2", (0.0, 400.0)),  # sigma is finite, sigma² is not
+            ("log_sigma1", (-400.0, 0.0)),  # sigma² underflows to zero
+            ("log_sigma2", (0.0, math.nan)),
+            ("log_sigma1", (math.inf, 0.0)),
+        ],
+    )
+    def test_log_sigma_out_of_range_rejected(self, name, log_sigmas):
+        with pytest.raises(ValueError, match=f"{name} must give a finite positive sigma"):
+            UncertaintyWeights(*log_sigmas)
 
 
 def _radius_oracle(h, w, o=0.7):
@@ -399,6 +390,12 @@ class TestAssembly:
     def test_total_hand_case(self):
         u = UncertaintyWeights.from_sigmas(1.0, 2.0)
         assert total_loss(2.0, 4.0, u) == pytest.approx(1.5 + math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("name,terms", [("l_rec", (math.nan, 1.0)), ("l_res", (1.0, -math.inf))])
+    def test_total_non_finite_term_rejected(self, name, terms):
+        """total_loss(nan, 1.0) returned nan."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            total_loss(*terms)
 
     def test_total_unit_sigmas_exact_half_sum(self):
         u = UncertaintyWeights()

@@ -35,6 +35,21 @@ class TestBoxIou:
         with pytest.raises(ValueError):
             box_iou((0, 0, 0, 1), (0, 0, 1, 1))
 
+    @pytest.mark.parametrize(
+        "bad", [(np.nan, 0, 1, 1), (0, 0, np.nan, 1), (0, 0, np.inf, 1), (0, -np.inf, 1, 1)]
+    )
+    def test_non_finite_rejected_in_either_order(self, bad):
+        """min and max drop a NaN in one argument order, so a NaN box once
+        scored 1.0 one way round and nan the other."""
+        for a, b in ((bad, (0, 0, 1, 1)), ((0, 0, 1, 1), bad)):
+            with pytest.raises(ValueError, match="boxes must be finite"):
+                box_iou(a, b)
+
+    def test_non_finite_ground_truth_rejected_by_ap(self):
+        """A NaN ground-truth box once matched every detection: AP50 100."""
+        with pytest.raises(ValueError, match="boxes must be finite"):
+            average_precision([[_box(5, 5, 2, 2)]], [[(np.nan, np.nan, 2, 2)]])
+
 
 class TestEvalResult:
     def test_range_checked(self):

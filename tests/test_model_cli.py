@@ -28,7 +28,6 @@ from nmvg.archive import (
 )
 from nmvg.cli import build_parser, main
 from nmvg.encoders import TokenSequence, tokenize
-from nmvg.losses import LossConfig
 from nmvg.model import (
     DEFAULT_VOCAB,
     Model,
@@ -86,13 +85,11 @@ class TestRunConfig:
         f = tmp_path / "run.cfg"
         f.write_text(
             "input_size = 64\n"
-            "stage_channels = 8, 16, 24, 32\n"
             "attention_normalize = true\n"
             "score_thresh = 0.4  # comment\n"
         )
         cfg = RunConfig.from_file(f)
         assert cfg.input_size == 64
-        assert cfg.stage_channels == (8, 16, 24, 32)
         assert cfg.attention_normalize is True
         assert cfg.score_thresh == 0.4
 
@@ -113,9 +110,7 @@ class TestRunConfig:
         "line,message",
         [
             ("score_thresh = nan", "score_thresh must be finite"),
-            ("fpn_channels = 0", "fpn_channels must be >= 1"),
             ("text_len = 2", "text_len must be >= 3"),
-            ("stage_channels = 8, 4, 16, 32", "stage channels must be non-decreasing"),
         ],
     )
     def test_out_of_range_value_names_its_line(self, tmp_path, line, message):
@@ -130,6 +125,23 @@ class TestRunConfig:
         f = tmp_path / "run.cfg"
         f.write_text("input_size = 64\ntext_vocab = 26\n")
         with pytest.raises(ValueError, match="run.cfg:2: unknown setting 'text_vocab'"):
+            RunConfig.from_file(f)
+
+    @pytest.mark.parametrize(
+        "line", ["stage_channels = 16, 32, 64, 96", "fpn_channels = 64", "embed_dim = 64"]
+    )
+    def test_width_setting_rejected(self, tmp_path, line):
+        """The model's widths are fixed: no file sets them, not even to
+        their own values."""
+        f = tmp_path / "run.cfg"
+        f.write_text(f"input_size = 64\n{line}\n")
+        with pytest.raises(ValueError, match=f"run.cfg:2: unknown setting '{line.split()[0]}'"):
+            RunConfig.from_file(f)
+
+    def test_from_file_rejects_bare_line(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("input_size = 64\ntopk\n")
+        with pytest.raises(ValueError, match="run.cfg:2: expected `key = value`, got 'topk'"):
             RunConfig.from_file(f)
 
     def test_vocab_read_once(self, tmp_path):
@@ -152,11 +164,6 @@ class TestRunConfig:
         f.write_text("topk = 3\n")
         assert RunConfig.from_file(f, topk=7).topk == 7
         assert RunConfig.from_file(f, topk=None).topk == 3
-
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_fpn_channels_below_one_rejected(self, value):
-        with pytest.raises(ValueError, match="fpn_channels"):
-            RunConfig(fpn_channels=value)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -251,9 +258,12 @@ class TestModelBinding:
             Model.from_archive(SMALL, broken)
 
     def test_wrong_shape_rejected(self, small_archive):
-        wrong = np.zeros((1, 1, 1, 1), dtype=np.float32)
+        """An archive of another pyramid width fails at its first entry of
+        that width, named with both shapes."""
+        wrong = np.zeros((32, 16, 1, 1), dtype=np.float32)
         broken = WeightArchive(entries={**small_archive.entries, "fpn.lateral2.kernel": wrong})
-        with pytest.raises(ArchiveError, match="fpn.lateral2.kernel"):
+        message = r"entry 'fpn.lateral2.kernel' has shape \(32, 16, 1, 1\), the model expects \(64, 16, 1, 1\)"
+        with pytest.raises(ArchiveError, match=message):
             Model.from_archive(SMALL, broken)
 
     def test_archive_form_picks_block_type(self, small_archive):
@@ -319,8 +329,8 @@ class TestForward:
 
     def test_enmoe_routes_a_level_of_exactly_min_extent(self, monkeypatch):
         """At input 160 stage 3 is 5x5, exactly ENMoE's MIN_EXTENT, so all
-        four levels are routed (narrow widths keep the model small)."""
-        cfg = RunConfig(input_size=160, stage_channels=(4, 4, 4, 4), fpn_channels=4, embed_dim=4, text_len=8)
+        four levels are routed."""
+        cfg = RunConfig(input_size=160, text_len=8)
         model = Model.from_archive(cfg, generate_archive(cfg))
         routed, enmoe_forward = [], model_mod.enmoe_forward
 
@@ -336,6 +346,46 @@ class TestForward:
             tokenize("the red buoy", list(DEFAULT_VOCAB), cfg.text_len),
         )
         assert routed == [(40, 40), (20, 20), (10, 10), (5, 5)]
+
+    @given(
+        size=st.sampled_from([32, 64, 96, 128, 160]),
+        text_len=st.integers(3, 12),
+        head_scale=st.integers(2, 5),
+        normalize=st.booleans(),
+    )
+    @example(size=160, text_len=3, head_scale=5, normalize=False)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_valid_configs_run_on_both_archive_forms(self, size, text_len, head_scale, normalize):
+        """Any valid config, on its generated archive and on the fold of it,
+        gives finite outputs of the stated shapes, and a batch of two frames
+        gives each frame the bits it gets alone.  At input 160 stage 3 is
+        exactly ENMoE's MIN_EXTENT."""
+        cfg = RunConfig(input_size=size, text_len=text_len, head_scale=head_scale, attention_normalize=normalize)
+        archive = generate_archive(cfg)
+        rng = np.random.default_rng(size + text_len)
+        image = rng.random((2, 3, size, size), dtype=np.float32)
+        radar = rng.standard_normal((2, 3, size, size)).astype(np.float32)
+        tokens = tokenize("the red buoy near the dock", list(DEFAULT_VOCAB), text_len)
+        ratio = 4 << (head_scale - 2)
+        grid = size // ratio
+        shapes = {
+            "heatmap": (2, 1, grid, grid),
+            "sizes": (2, 2, grid, grid),
+            "offsets": (2, 2, grid, grid),
+            "mask_logits": (2, 1, size, size),
+        }
+        for form in (archive, fuse_archive(archive)):
+            model = Model.from_archive(cfg, form)
+            batch = model.forward(image, radar, tokens)
+            assert batch.downsample_ratio == ratio
+            assert [m.bitmap.shape for m in batch.masks] == [(size, size)] * 2
+            for name, shape in shapes.items():
+                assert getattr(batch, name).shape == shape, name
+                assert np.isfinite(getattr(batch, name)).all(), name
+            for i in range(2):
+                alone = model.forward(image[i : i + 1], radar[i : i + 1], tokens)
+                for name in shapes:
+                    assert np.array_equal(getattr(batch, name)[i : i + 1], getattr(alone, name)), (i, name)
 
     def test_deterministic_forward(self, small_archive):
         model = Model.from_archive(SMALL, small_archive)
@@ -1028,15 +1078,6 @@ class TestCli:
         assert "FAIL" not in out
         assert "21/21 checks passed" in out
 
-    @pytest.mark.parametrize("name,value", [("alpha_conf", "nan"), ("tau1", "inf")])
-    def test_selftest_non_finite_loss_setting_exits_two(self, tmp_path, capsys, name, value):
-        cfg = tmp_path / "loss.cfg"
-        cfg.write_text(f"beta_conf = 4\n{name} = {value}\n")
-        assert main(["selftest", "--loss-config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert f"{name} must be finite, got {value}" in captured.err
-        assert "checks passed" not in captured.out
-
 
 class TestOptionSurface:
     """The pinned option surface: a new flag or config field has to be added
@@ -1050,7 +1091,7 @@ class TestOptionSurface:
         "fuse-rep": {"src", "dst"},
         "eval": {"--pred-boxes", "--gt-boxes", "--pred-mask", "--gt-mask"},
         "mept": {"--trace", "--perf", "--tau"},
-        "selftest": {"--loss-config"},
+        "selftest": set(),
         "gen-fixtures": {"--out-dir", "--config", "--size", "--seed"},
     }
 
@@ -1064,8 +1105,8 @@ class TestOptionSurface:
 
     def test_run_config_fields_pinned(self):
         assert list(RunConfig.__dataclass_fields__) == [
-            "input_size", "stage_channels", "fpn_channels", "embed_dim", "text_len",
-            "attention_normalize", "head_scale", "topk", "score_thresh", "mask_thresh", "seed", "vocab_path",
+            "input_size", "text_len", "attention_normalize", "head_scale", "topk",
+            "score_thresh", "mask_thresh", "seed", "vocab_path",
         ]
 
 
@@ -1077,8 +1118,6 @@ class TestConfigDocs:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         return readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
 
-    @pytest.mark.parametrize(
-        "name", [*RunConfig.__dataclass_fields__, *LossConfig.__dataclass_fields__]
-    )
+    @pytest.mark.parametrize("name", RunConfig.__dataclass_fields__)
     def test_setting_listed_in_readme(self, name):
         assert f"{name} = " in self._section()
