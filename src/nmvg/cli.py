@@ -26,16 +26,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_config(args) -> RunConfig:
-    keys = ("topk", "score_thresh", "mask_thresh", "attention_normalize", "vocab_path")
-    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    if args.config:
-        return RunConfig.from_file(args.config, **overrides)
-    return RunConfig(**overrides)
-
-
 def _cmd_infer(args) -> int:
-    cfg = _build_config(args)
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     # An input that overflows inside the model ends in NonFiniteOutputError,
     # so the numpy warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -53,10 +45,6 @@ def _cmd_fuse_rep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if len(args.pred_boxes) != len(args.gt_boxes):
-        raise ValueError(
-            f"{len(args.pred_boxes)} prediction files vs {len(args.gt_boxes)} ground-truth files"
-        )
     preds = [read_boxes(p, with_scores=True) for p in args.pred_boxes]
     gts = [read_boxes(p, with_scores=False) for p in args.gt_boxes]
     result = average_precision(preds, gts)
@@ -64,8 +52,6 @@ def _cmd_eval(args) -> int:
     print(f"AP50:95  {result.ap50_95:8.2f}")
     print(f"AR50:95  {result.ar50_95:8.2f}")
     if args.pred_mask or args.gt_mask:
-        if len(args.pred_mask) != len(args.gt_mask) or not args.pred_mask:
-            raise ValueError("mask evaluation needs matching --pred-mask/--gt-mask lists")
         miou = mask_miou(
             [read_mask(p) for p in args.pred_mask],
             [read_mask(p) for p in args.gt_mask],
@@ -86,9 +72,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_gen_fixtures(args) -> int:
-    seed = {} if args.seed is None else {"seed": args.seed}
     # Small default extent keeps the demo pipeline quick on a laptop.
-    cfg = RunConfig.from_file(args.config, **seed) if args.config else RunConfig(input_size=args.size, **seed)
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig(input_size=64)
     paths = generate_fixtures(args.out_dir, cfg)
     for name, path in paths.items():
         print(f"{name:8s} {path}")
@@ -105,17 +90,7 @@ def build_parser() -> _Parser:
     p.add_argument("--radar", required=True, help="raster or raw float32 planes at the configured size")
     p.add_argument("--prompt", required=True, help="text file with the grounding phrase")
     p.add_argument("--out-dir", default="out", help="directory for boxes.txt and mask.pgm")
-    p.add_argument("--config", help="key = value run configuration file")
-    p.add_argument("--topk", type=int, help="maximum boxes to emit")
-    p.add_argument("--score-thresh", type=float, help="minimum box confidence")
-    p.add_argument("--mask-thresh", type=float, help="mask logit cut, foreground is strictly above")
-    p.add_argument(
-        "--attention-normalize",
-        action="store_const",
-        const=True,
-        help="softmax the text similarity rows before attending",
-    )
-    p.add_argument("--vocab", dest="vocab_path", help="one token per line, id 0 is <pad>")
+    p.add_argument("--config", help="key = value run configuration file; defaults without one")
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("fuse-rep", help="fold multi-branch segmentation blocks into single convs")
@@ -141,9 +116,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-fixtures", help="write seeded demo weights, inputs and annotations")
     p.add_argument("--out-dir", default="fixtures", help="destination directory")
-    p.add_argument("--config", help="run configuration to generate for")
-    p.add_argument("--size", type=int, default=64, help="input extent when no config file is given")
-    p.add_argument("--seed", type=int, help="generation seed")
+    p.add_argument("--config", help="run configuration to generate for; input size 64, seed 0 without one")
     p.set_defaults(fn=_cmd_gen_fixtures)
 
     return parser

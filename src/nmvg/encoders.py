@@ -21,6 +21,7 @@ from .tensor import (
     BNParams,
     ConvParams,
     FeatureMap,
+    _as_int,
     _own,
     conv2d,
 )
@@ -55,8 +56,9 @@ def tokenize(text: str, vocab: Sequence[str], length: int = 50) -> TokenSequence
     """Whitespace-split, lowercase, look up ids, pad or truncate to length.
 
     Id 0 is reserved for padding.  Words missing from the vocabulary are
-    rejected rather than silently remapped, and so is a length below 1.
+    rejected rather than silently remapped, and so is a non-integer length or one below 1.
     """
+    length = _as_int("length", length)
     if length < 1:
         raise ValueError(f"token length must be >= 1, got {length}")
     index = {tok: i for i, tok in enumerate(vocab)}

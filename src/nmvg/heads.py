@@ -25,6 +25,7 @@ from .tensor import (
     FeatureMap,
     ShapeError,
     _activate,
+    _as_int,
     _own,
     _pyramid,
     _upsample2_add,
@@ -64,7 +65,11 @@ class BinaryMask:
     bitmap: np.ndarray
 
     def __post_init__(self):
-        if _own(self, "bitmap", 2, dtype=np.uint8).max(initial=0) > 1:
+        # Bool and uint8 need only the max scan after the cast; other dtypes
+        # are checked first, so 0.5, NaN or 256 cannot cast to 0.
+        a = np.asarray(self.bitmap)
+        exact = a.dtype in (np.bool_, np.uint8) or ((a == 0) | (a == 1)).all()
+        if not exact or _own(self, "bitmap", 2, dtype=np.uint8).max(initial=0) > 1:
             raise ValueError("mask bitmap entries must be 0 or 1")
 
 
@@ -90,6 +95,13 @@ class RecHeadParams:
     wh: BranchParams
     offset: BranchParams
 
+    def __post_init__(self):
+        # Widths only: building a bundle makes no pass over its weights.
+        for name, emits in (("conf", 1), ("wh", 2), ("offset", 2)):
+            got = getattr(self, name).proj.out_channels
+            if got != emits:
+                raise ShapeError(f"{name} projection must emit {emits} channel(s), got {got}")
+
 
 def _branch(x: FeatureMap, bp: BranchParams, act: ActivationKind | None = None) -> FeatureMap:
     x = conv2d(x, bp.dw, bp.dw_bn, "relu")
@@ -107,13 +119,7 @@ def rec_head_forward(
     """
     heat = _branch(feat, p.conf, "sigmoid")
     np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7), out=heat)
-    if heat.shape[1] != 1:
-        raise ShapeError(f"confidence branch must emit one channel, got {heat.shape[1]}")
-    sizes = _branch(feat, p.wh)
-    offsets = _branch(feat, p.offset)
-    if sizes.shape[1] != 2 or offsets.shape[1] != 2:
-        raise ShapeError("size and offset branches must emit two channels each")
-    return heat, sizes, offsets
+    return heat, _branch(feat, p.wh), _branch(feat, p.offset)
 
 
 def _peak_mask(heat: np.ndarray) -> np.ndarray:
@@ -160,8 +166,9 @@ def decode_boxes(
     A peak at cell (row, col) with offset (ox, oy) and size (sw, sh)
     becomes cx=(col+ox)*r, cy=(row+oy)*r, w=sw*r, h=sh*r; a side below
     MIN_BOX_SIDE (a zero or negative size) is raised to it.  ValueError
-    unless k and r are positive and score_thresh and the heatmap finite.
+    unless k is a positive integer, r > 0 and score_thresh and the heatmap finite.
     """
+    k = _as_int("k", k)
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if not r > 0:
@@ -286,6 +293,10 @@ class ResHeadParams:
     blocks: tuple[MsRepParams | ConvParams, ...]
     proj: ConvParams
 
+    def __post_init__(self):
+        if self.proj.out_channels != 1:
+            raise ShapeError(f"proj must emit one channel, got {self.proj.out_channels}")
+
 
 def res_head_forward(
     pyramid: list[FeatureMap],
@@ -310,8 +321,6 @@ def res_head_forward(
         d = _upsample2_add(finer, merged)
     logits = conv2d(d, p.proj)
     del d  # the finest merged map is not held through the upsample
-    if logits.shape[1] != 1:
-        raise ShapeError(f"mask projection must emit one channel, got {logits.shape[1]}")
     if image_size % logits.shape[2] != 0:
         raise ShapeError(
             f"image size {image_size} is not a multiple of the merged extent {logits.shape[2]}"

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .heads import BinaryMask
-from .tensor import _own
+from .tensor import _as_int, _own
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100 for i in range(10))
 
@@ -132,19 +132,17 @@ def average_precision(preds_per_sample, gts_per_sample) -> EvalResult:
 
 
 def mask_miou(pred_masks, gt_masks) -> float:
-    """Mean IoU over paired binary masks; two empty masks count as 1."""
+    """Mean IoU over paired binary masks, each a BinaryMask or an array it
+    accepts; two empty masks count as 1."""
     if len(pred_masks) != len(gt_masks):
         raise ValueError(f"{len(pred_masks)} predictions but {len(gt_masks)} ground-truth masks")
     if not pred_masks:
         raise ValueError("no masks to evaluate")
     scores = []
     for pm, gm in zip(pred_masks, gt_masks):
-        pa = pm.bitmap if isinstance(pm, BinaryMask) else np.asarray(pm)
-        ga = gm.bitmap if isinstance(gm, BinaryMask) else np.asarray(gm)
+        pa, ga = ((m if isinstance(m, BinaryMask) else BinaryMask(m)).bitmap.astype(bool) for m in (pm, gm))
         if pa.shape != ga.shape:
             raise ValueError(f"mask shapes differ: {pa.shape} vs {ga.shape}")
-        pa = pa.astype(bool)
-        ga = ga.astype(bool)
         union = int(np.logical_or(pa, ga).sum())
         if union == 0:
             scores.append(1.0)
@@ -178,6 +176,7 @@ class EnergyTrace:
             raise ValueError("energy readings must be finite")
         if (tr < 0).any() or (un < 0).any():
             raise ValueError("energy readings must be non-negative")
+        object.__setattr__(self, "tau_evals", _as_int("tau_evals", self.tau_evals))
         if self.tau_evals < 1:
             raise ValueError(f"tau_evals must be >= 1, got {self.tau_evals}")
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))

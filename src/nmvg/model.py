@@ -12,7 +12,8 @@ in isolation.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
+import os
 import re
 import zlib
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from .heads import (
     res_head_forward,
 )
 from .rasters import read_image, read_radar, write_boxes, write_mask, write_radar_raw, write_ppm
-from .tensor import BNParams, ConvParams, ShapeError
+from .tensor import BNParams, ConvParams, ShapeError, _as_int
 
 DEFAULT_VOCAB = (
     "<pad>",
@@ -71,16 +72,12 @@ DEFAULT_VOCAB = (
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _parse_bool(val: str) -> bool:
-    low = val.lower()
-    if low not in ("true", "false", "1", "0"):
-        raise ValueError(f"expected a boolean, got {val!r}")
-    return low in ("true", "1")
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
-
-#: Settings whose file value is not a plain integer.
+#: Settings whose file value is not a plain integer.  A boolean word not in
+#: _BOOLS stays a string, which RunConfig refuses.
 _PARSERS = {
-    "attention_normalize": _parse_bool,
+    "attention_normalize": lambda val: _BOOLS.get(val.lower(), val),
     "score_thresh": float,
     "mask_thresh": float,
     "vocab_path": str,
@@ -100,12 +97,23 @@ class RunConfig:
     vocab_path: str | None = None
 
     def __post_init__(self):
-        """The one check of every field, whether set in code, a file or a flag."""
+        """The one check of every field, set in code or a file; each is stored as its annotated type."""
         for name in ("input_size", "text_len", "head_scale", "topk", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if not isinstance(self.attention_normalize, (bool, np.bool_)):
+            raise ValueError(f"attention_normalize must be a bool, got {self.attention_normalize!r}")
+        object.__setattr__(self, "attention_normalize", bool(self.attention_normalize))
+        for name in ("score_thresh", "mask_thresh"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
+        path = os.fspath(self.vocab_path) if isinstance(self.vocab_path, os.PathLike) else self.vocab_path
+        if not isinstance(path, (str, type(None))):
+            raise ValueError(f"vocab_path must be None, a str or a path-like, got {self.vocab_path!r}")
+        object.__setattr__(self, "vocab_path", path)
         if self.input_size < 32 or self.input_size % 32:
             raise ValueError(f"input_size must be a positive multiple of 32, got {self.input_size}")
         # text_len covers at least one k3/s2 text pooling window
@@ -114,9 +122,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.head_scale not in (2, 3, 4, 5):
             raise ValueError(f"head_scale must be one of 2..5, got {self.head_scale}")
-        for name in ("score_thresh", "mask_thresh"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -130,9 +135,9 @@ class RunConfig:
         return self.input_size // (4 * (1 << i))
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        """Read a settings file of `key = value` lines; overrides that are
-        not None win.
+    def from_file(cls, path: str | Path) -> "RunConfig":
+        """Read a settings file of `key = value` lines; a key left out keeps
+        its default.
 
         `#` starts a comment at the start of a line or after whitespace, so a
         value may hold one (`/tmp/a#b`); blank lines are skipped. Each value
@@ -155,7 +160,6 @@ class RunConfig:
                 cls(**{key: values[key]})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
 

@@ -119,11 +119,9 @@ def write_radar_raw(path: str | Path, planes: np.ndarray) -> None:
 
 
 def write_mask(path: str | Path, mask) -> None:
-    """Write a binary mask as P5 with foreground 255."""
-    bitmap = mask.bitmap if isinstance(mask, BinaryMask) else np.asarray(mask)
-    if bitmap.ndim != 2:
-        raise RasterError(f"write_mask expects (H, W), got shape {bitmap.shape}")
-    _write_netpbm(path, "P5", bitmap.astype(np.uint8) * 255)
+    """Write a BinaryMask, or an array it accepts, as P5 with foreground 255."""
+    bitmap = (mask if isinstance(mask, BinaryMask) else BinaryMask(mask)).bitmap
+    _write_netpbm(path, "P5", bitmap * 255)
 
 
 def read_mask(path: str | Path) -> np.ndarray:

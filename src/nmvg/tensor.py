@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -137,6 +138,17 @@ def _as_f32(x, ndim: int, what: str) -> np.ndarray:
     if arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     return arr
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int by ``operator.index``; a bool or a
+    non-integer (2.5, 3.0, '3') raises ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _own(obj, name: str, ndim: int, lead: tuple = (), dtype=np.float32) -> np.ndarray:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ class TestConfig:
             ("head_scale", 2.0, "head_scale must be an integer"),
             ("topk", "3", "topk must be an integer, got '3'"),
             ("seed", None, "seed must be an integer, got None"),
+            ("topk", True, "topk must be an integer, got True"),
+            ("attention_normalize", "false", "attention_normalize must be a bool, got 'false'"),
+            ("attention_normalize", 1, "attention_normalize must be a bool, got 1"),
+            ("score_thresh", "0.5", "score_thresh must be a real number, got '0.5'"),
+            ("score_thresh", True, "score_thresh must be a real number, got True"),
+            ("mask_thresh", None, "mask_thresh must be a real number, got None"),
+            ("vocab_path", 3, "vocab_path must be None, a str or a path-like, got 3"),
+            ("vocab_path", b"v.txt", "vocab_path must be None, a str or a path-like"),
         ],
     )
     def test_out_of_range_rejected(self, field, value, message):
@@ -52,6 +62,14 @@ class TestConfig:
         cfg = RunConfig(input_size=np.int64(64), topk=np.int32(3), seed=np.uint8(4))
         assert (cfg.input_size, cfg.topk, cfg.seed) == (64, 3, 4)
         assert type(cfg.input_size) is int
+
+    def test_each_field_stored_as_its_python_type(self):
+        cfg = RunConfig(
+            attention_normalize=np.True_, score_thresh=np.float32(0.5), mask_thresh=1, vocab_path=Path("v.txt")
+        )
+        got = (cfg.attention_normalize, cfg.score_thresh, cfg.mask_thresh, cfg.vocab_path)
+        assert got == (True, 0.5, 1.0, "v.txt")
+        assert [type(v) for v in got] == [bool, float, float, str]
 
 
 class TestTokenize:
@@ -76,6 +94,11 @@ class TestTokenize:
         toks = tokenize("   ", VOCAB, 5)
         assert list(toks.ids) == [0] * 5
         assert toks.padding_mask.all()
+
+    @pytest.mark.parametrize("length", [3.0, True, "3"])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be an integer"):
+            tokenize("the vessel", VOCAB, length)
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_length_below_one_rejected(self, length):

@@ -72,6 +72,13 @@ class TestBinaryMask:
         assert BinaryMask(np.zeros((0, 4), dtype=np.uint8)).bitmap.shape == (0, 4)
         assert BinaryMask(np.eye(3, dtype=bool)).bitmap.dtype == np.uint8
 
+    @pytest.mark.parametrize("value", [0.5, np.nan, 256, -256])
+    def test_rejects_entries_that_would_cast_to_zero_or_one(self, value):
+        """Entries are checked before the uint8 cast, which would turn 0.5,
+        NaN and 256 into 0."""
+        with pytest.raises(ValueError, match="0 or 1"):
+            BinaryMask(np.array([[0, 1], [1, value]]))
+
 
 def _rand_branch(rng, cin, cout):
     return BranchParams(
@@ -138,14 +145,12 @@ class TestRecHead:
         assert peak <= 2.0 * feat.nbytes
 
     def test_wrong_branch_widths_rejected(self):
+        """The bundle checks each projection's width when built."""
         rng = np.random.default_rng(1)
-        p = RecHeadParams(
-            conf=_rand_branch(rng, 4, 2),
-            wh=_rand_branch(rng, 4, 2),
-            offset=_rand_branch(rng, 4, 2),
-        )
-        with pytest.raises(ShapeError):
-            rec_head_forward(rng.standard_normal((1, 4, 6, 6)).astype(np.float32), p)
+        good = {"conf": _rand_branch(rng, 4, 1), "wh": _rand_branch(rng, 4, 2), "offset": _rand_branch(rng, 4, 2)}
+        for name, wrong in (("conf", 2), ("wh", 1), ("offset", 3)):
+            with pytest.raises(ShapeError, match=f"{name} projection must emit"):
+                RecHeadParams(**{**good, name: _rand_branch(rng, 4, wrong)})
 
 
 def _maps(h=16, w=16, seed=0):
@@ -210,6 +215,12 @@ class TestDecodeBoxes:
         a = decode_boxes(heat, wh, off, r=4, k=10, score_thresh=0.3)
         b = decode_boxes(heat[None, None], wh[None], off[None], r=4, k=10, score_thresh=0.3)
         assert a == b
+
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_non_integer_k_rejected(self, k):
+        heat, wh, off = _maps(seed=5)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            decode_boxes(heat, wh, off, r=4, k=k, score_thresh=0.5)
 
     def test_nonpositive_k_rejected(self):
         heat, wh, off = _maps(seed=5)
@@ -337,6 +348,12 @@ def _pyramid(rng, c, base):
 
 
 class TestResHead:
+    def test_wrong_projection_width_rejected(self):
+        """The bundle checks proj's width when built."""
+        rng = np.random.default_rng(42)
+        with pytest.raises(ShapeError, match="proj must emit one channel, got 2"):
+            replace(_res_params(rng, 4), proj=rand_conv(rng, 2, 4, 1, 1, bias=True))
+
     def test_logits_full_resolution(self):
         rng = np.random.default_rng(40)
         p = _res_params(rng, 4)

@@ -246,6 +246,11 @@ class TestMaskMiou:
         m = BinaryMask(np.ones((3, 3), dtype=np.uint8))
         assert mask_miou([m], [np.ones((3, 3))]) == 100.0
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.5])
+    def test_non_binary_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            mask_miou([np.full((4, 4), bad)], [np.ones((4, 4))])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mask_miou([np.zeros((2, 2))], [np.zeros((3, 3))])
@@ -299,6 +304,11 @@ class TestEnergyTrace:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EnergyTrace(("a",), np.array([1.0, 2.0]), np.array([0.5, 0.5]), 2)
+
+    @pytest.mark.parametrize("tau", [1.5, True, "2"])
+    def test_non_integer_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau_evals must be an integer"):
+            EnergyTrace(("a",), np.array([5.0]), np.array([1.0]), tau)
 
 
 class TestMept:

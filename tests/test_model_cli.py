@@ -159,12 +159,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="flux_capacitor"):
             RunConfig.from_file(f)
 
-    def test_overrides_beat_file(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text("topk = 3\n")
-        assert RunConfig.from_file(f, topk=7).topk == 7
-        assert RunConfig.from_file(f, topk=None).topk == 3
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             RunConfig(seed=-1)
@@ -730,6 +724,15 @@ class TestNetpbmHeader:
             read_mask(path)
 
 
+class TestMaskFile:
+    def test_non_binary_mask_not_written(self, tmp_path):
+        """An array of 2s would be written as 254, which read_mask reads back as 1."""
+        path = tmp_path / "mask.pgm"
+        with pytest.raises(ValueError, match="0 or 1"):
+            write_mask(path, np.full((4, 4), 2))
+        assert not path.exists()
+
+
 def _infer_argv(fixture_dir, out_dir, *extra):
     return [
         "infer",
@@ -781,10 +784,12 @@ class TestCli:
         assert "short.cfg:2: text_len: text_len must be >= 3" in capsys.readouterr().err
 
     def test_infer_vocab_flag_sizes_the_table(self, tmp_path, capsys):
-        """--vocab alone, with no config file, binds an archive generated for
-        that vocabulary; without it the default vocabulary does not fit."""
+        """A run file that sets only vocab_path binds an archive generated
+        for that vocabulary; without it the default vocabulary does not fit."""
         vocab = tmp_path / "v.txt"
         vocab.write_text("<pad>\nthe\nkayak\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"vocab_path = {vocab}\n")
         save_archive(generate_archive(RunConfig(vocab_path=str(vocab))), tmp_path / "w.nmvg")
         frame = np.random.default_rng(2).integers(0, 256, size=(3, 640, 640)).astype(np.uint8)
         for name in ("image.ppm", "radar.ppm"):
@@ -795,7 +800,7 @@ class TestCli:
             "--radar", str(tmp_path / "radar.ppm"), "--prompt", str(tmp_path / "prompt.txt"),
             "--out-dir", str(tmp_path / "out"),
         ]
-        assert main([*argv, "--vocab", str(vocab)]) == 0
+        assert main([*argv, "--config", str(config)]) == 0
         assert (tmp_path / "out" / "mask.pgm").exists()
         assert main(argv) == 2
         assert "'text_enc.embedding' has shape (3, 64), the model expects (26, 64)" in capsys.readouterr().err
@@ -822,23 +827,48 @@ class TestCli:
         )
         fix = tmp_path / "fix"
         assert main(["gen-fixtures", "--out-dir", str(fix), "--config", str(config)]) == 0
-        want = RunConfig.from_file(config, vocab_path=str((fix / "vocab.txt").resolve()))
+        want = dataclasses.replace(RunConfig.from_file(config), vocab_path=str((fix / "vocab.txt").resolve()))
         assert RunConfig.from_file(fix / "run.cfg") == want
 
     def test_gen_fixtures_seed_flag(self, tmp_path):
-        assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--size", "64", "--seed", "5"]) == 0
+        """The run file's seed picks the generated weights."""
+        config = tmp_path / "gen.cfg"
+        config.write_text("input_size = 64\nseed = 5\n")
+        assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--config", str(config)]) == 0
         save_archive(generate_archive(RunConfig(input_size=64, seed=5)), tmp_path / "want.nmvg")
         assert filecmp.cmp(tmp_path / "fix" / "weights.nmvg", tmp_path / "want.nmvg", shallow=False)
 
-    def test_gen_fixtures_seed_flag_overrides_config(self, fixture_dir, tmp_path):
-        config = str(fixture_dir / "run.cfg")
-        assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix"), "--config", config, "--seed", "5"]) == 0
-        save_archive(generate_archive(RunConfig.from_file(config, seed=5)), tmp_path / "want.nmvg")
+    def test_gen_fixtures_default_is_the_64_pixel_seed_0_demo(self, tmp_path):
+        assert main(["gen-fixtures", "--out-dir", str(tmp_path / "fix")]) == 0
+        save_archive(generate_archive(RunConfig(input_size=64)), tmp_path / "want.nmvg")
         assert filecmp.cmp(tmp_path / "fix" / "weights.nmvg", tmp_path / "want.nmvg", shallow=False)
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("infer", "--topk 3"),
+            ("infer", "--score-thresh 0.5"),
+            ("infer", "--mask-thresh 0.25"),
+            ("infer", "--attention-normalize"),
+            ("infer", "--vocab vocab.txt"),
+            ("gen-fixtures", "--size 96"),
+            ("gen-fixtures", "--seed 5"),
+        ],
+    )
+    def test_setting_flags_are_unknown(self, fixture_dir, tmp_path, capsys, command, flag):
+        """Every run setting comes from the --config file or the defaults."""
+        out = tmp_path / "out"
+        if command == "infer":
+            argv = _infer_argv(fixture_dir, out, "--config", str(fixture_dir / "run.cfg"), *flag.split())
+        else:
+            argv = ["gen-fixtures", "--out-dir", str(out), *flag.split()]
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_fixtures_then_infer(self, tmp_path, capsys):
         fix = tmp_path / "fix"
-        assert main(["gen-fixtures", "--out-dir", str(fix), "--size", "64"]) == 0
+        assert main(["gen-fixtures", "--out-dir", str(fix)]) == 0
         rc = main([
             "infer",
             "--config", str(fix / "run.cfg"),
@@ -977,6 +1007,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("100.00") == 4
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ("pred-boxes", "2 prediction lists but 1 ground-truth lists"),
+            ("pred-mask", "2 predictions but 1 ground-truth masks"),
+            ("gt-mask", "1 predictions but 2 ground-truth masks"),
+        ],
+    )
+    def test_eval_unpaired_files_exit_two(self, tmp_path, capsys, pairs, message):
+        """The library checks the pairing, once, for boxes and masks alike."""
+        write_boxes(tmp_path / "b.txt", [DetectionBox(10, 10, 4, 4, 0.9)])
+        write_mask(tmp_path / "m.pgm", np.ones((4, 4), dtype=np.uint8))
+        files = {"pred-boxes": "b.txt", "gt-boxes": "b.txt", "pred-mask": "m.pgm", "gt-mask": "m.pgm"}
+        argv = ["eval"] + [arg for flag, name in files.items() for arg in (f"--{flag}", str(tmp_path / name))]
+        assert main([*argv, f"--{pairs}", str(tmp_path / files[pairs])]) == 2
+        assert message in capsys.readouterr().err
+
     def test_mept_prints_expected_value(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(
@@ -1025,10 +1072,12 @@ class TestCli:
         assert "corrupt" in capsys.readouterr().err
 
     def test_config_flag_overrides(self, fixture_dir, tmp_path, capsys):
+        """The --config file's topk caps the boxes written."""
+        config = tmp_path / "run.cfg"
+        config.write_text("input_size = 64\ntopk = 3\n")
         rc = main([
             "infer",
-            "--config", str(fixture_dir / "run.cfg"),
-            "--topk", "3",
+            "--config", str(config),
             "--weights", str(fixture_dir / "weights.nmvg"),
             "--image", str(fixture_dir / "image.ppm"),
             "--radar", str(fixture_dir / "radar.f32"),
@@ -1039,18 +1088,11 @@ class TestCli:
         assert capsys.readouterr().out.startswith("3 boxes")
         assert len(read_boxes(tmp_path / "out" / "boxes.txt")) == 3
 
-    @pytest.mark.parametrize("flag,value", [("--score-thresh", "nan"), ("--mask-thresh", "inf")])
-    def test_non_finite_threshold_flag_exits_two(self, fixture_dir, tmp_path, capsys, flag, value):
-        config = str(fixture_dir / "run.cfg")
-        assert main(_infer_argv(fixture_dir, tmp_path / "out", "--config", config, flag, value)) == 2
-        name = flag[2:].replace("-", "_")
-        assert f"{name} must be finite, got {value}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "line,message",
         [
             ("score_thresh = nan", "score_thresh must be finite"),
+            ("mask_thresh = inf", "run.cfg:{lineno}: mask_thresh: mask_thresh must be finite, got inf"),
             ("topk = abc", "run.cfg:{lineno}: topk: invalid literal"),
             ("loss_config_path = x", "run.cfg:{lineno}: unknown setting 'loss_config_path'"),
         ],
@@ -1084,15 +1126,12 @@ class TestOptionSurface:
     here in the same change, so it is seen in review."""
 
     FLAGS = {
-        "infer": {
-            "--weights", "--image", "--radar", "--prompt", "--out-dir", "--config", "--topk",
-            "--score-thresh", "--mask-thresh", "--attention-normalize", "--vocab",
-        },
+        "infer": {"--weights", "--image", "--radar", "--prompt", "--out-dir", "--config"},
         "fuse-rep": {"src", "dst"},
         "eval": {"--pred-boxes", "--gt-boxes", "--pred-mask", "--gt-mask"},
         "mept": {"--trace", "--perf", "--tau"},
         "selftest": set(),
-        "gen-fixtures": {"--out-dir", "--config", "--size", "--seed"},
+        "gen-fixtures": {"--out-dir", "--config"},
     }
 
     def test_subcommand_flags_pinned(self):
