@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
     ActivationKind,
@@ -131,8 +130,12 @@ def _peak_mask(heat: np.ndarray) -> np.ndarray:
     """
     h, w = heat.shape
     pad = np.pad(heat, 1, constant_values=-np.inf)
-    win = sliding_window_view(pad, (3, 3))
-    is_max = heat >= win.max(axis=(2, 3))
+    # 3x3 window max as a max over three columns, then over three rows.
+    cols = np.maximum(pad[:, :-2], pad[:, 1:-1])
+    np.maximum(cols, pad[:, 2:], out=cols)
+    win = np.maximum(cols[:-2], cols[1:-1])
+    np.maximum(win, cols[2:], out=win)
+    is_max = heat >= win
     tied_earlier = np.zeros_like(is_max)
     for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
         neighbour = pad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]

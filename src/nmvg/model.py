@@ -107,9 +107,13 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         path = os.fspath(self.vocab_path) if isinstance(self.vocab_path, os.PathLike) else self.vocab_path
         if not isinstance(path, (str, type(None))):
             raise ValueError(f"vocab_path must be None, a str or a path-like, got {self.vocab_path!r}")

@@ -181,6 +181,10 @@ class ConvParams:
         k = _own(self, "kernel", 4)
         if self.bias is not None:
             _own(self, "bias", 1, k.shape[:1])
+        # One type test covers the usual all-int case: binding a model makes about 90 of these.
+        if not type(self.stride) is type(self.padding) is type(self.groups) is int:
+            for name in ("stride", "padding", "groups"):
+                object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.stride < 1:
             raise ShapeError(f"stride must be >= 1, got {self.stride}")
         if self.padding < 0:

@@ -1,8 +1,10 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nmvg.archive as archive_module
 from nmvg.archive import (
     MAGIC,
     VERSION,
@@ -16,6 +18,7 @@ from nmvg.archive import (
     load_archive,
     save_archive,
 )
+from nmvg.model import RunConfig, generate_archive
 
 
 def _raw(manifest: bytes, blob: bytes, magic=MAGIC, version=VERSION) -> bytes:
@@ -233,9 +236,80 @@ class TestLoadErrors:
         a = load_archive(p)
         assert a.get("x")[0] == 1.0 and a.get("y")[0] == 3.0
 
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_non_finite_in_the_second_of_two_adjacent_entries_named(self, tmp_path, where):
+        p = tmp_path / "w.nmvg"
+        vals = [1.0, 2.0, 3.0, 4.0]
+        vals[2 + where] = float("nan")
+        p.write_bytes(_raw(b"first f32 2 0\nsecond f32 2 8\n", struct.pack("<4f", *vals)))
+        with pytest.raises(NonFiniteError, match="entry 'second'"):
+            load_archive(p)
+
     def test_error_hierarchy(self):
         for exc in (BadMagicError, ManifestError, BlobBoundsError, OffsetOverlapError, MissingParameterError):
             assert issubclass(exc, ValueError)
+
+
+class TestLoadedBuffer:
+    def test_entries_are_aligned_read_only_views_of_one_buffer(self, tmp_path):
+        # A 37-byte manifest puts the blob at file byte 49, off a multiple of 4.
+        manifest = b"a.kernel f32 2,3 0\nb f32 5 24\nc f32 1 44\n"
+        assert (12 + len(manifest)) % 4
+        vals = np.arange(12, dtype="<f4")
+        p = tmp_path / "w.nmvg"
+        p.write_bytes(_raw(manifest, vals.tobytes()))
+        a = load_archive(p)
+        bases = {id(arr.base) for arr in a.entries.values()}
+        assert len(bases) == 1
+        buf = a.get("b").base
+        assert buf.dtype == np.float32 and buf.flags.owndata and not buf.flags.writeable
+        for arr in a.entries.values():
+            assert arr.dtype == np.float32 and arr.flags.aligned and arr.ctypes.data % 4 == 0
+            assert not arr.flags.writeable
+            assert np.shares_memory(arr, buf)
+        np.testing.assert_array_equal(a.get("a.kernel"), vals[:6].reshape(2, 3))
+        np.testing.assert_array_equal(a.get("b"), vals[6:11])
+        np.testing.assert_array_equal(a.get("c"), vals[11:])
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [b"x f32 2 1\ny f32 3 9\n", b"x f32 2 1\ny f32 3 10\n"],
+        ids=["one-residue", "mixed-residues"],
+    )
+    def test_entry_off_a_multiple_of_4_loads_bitwise(self, tmp_path, manifest):
+        x = np.array([1.5, -np.pi], dtype="<f4")
+        y = np.array([2.0**-149, -0.0, 3.0e38], dtype="<f4")
+        y_at = int(manifest.split()[-1])
+        blob = bytearray(b"\xee" * (y_at + 12))
+        blob[1:9] = x.tobytes()
+        blob[y_at:] = y.tobytes()
+        p = tmp_path / "w.nmvg"
+        p.write_bytes(_raw(manifest, bytes(blob)))
+        a = load_archive(p)
+        assert a.get("x").tobytes() == x.tobytes() and a.get("y").tobytes() == y.tobytes()
+        for arr in a.entries.values():
+            assert arr.dtype == np.float32 and arr.flags.aligned and not arr.flags.writeable
+
+    def test_file_shorter_than_its_size_rejected(self, tmp_path, monkeypatch):
+        """A file that shrinks while it is read must not leave unread
+        buffer bytes in an entry."""
+        p = tmp_path / "w.nmvg"
+        p.write_bytes(_raw(b"x f32 2 0\n", struct.pack("<f", 1.0)))
+        size = p.stat().st_size + 4
+        monkeypatch.setattr(archive_module.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(BlobBoundsError, match="ended before its blob"):
+            load_archive(p)
+
+    def test_generated_640_archive_round_trips_bitwise(self, tmp_path):
+        src = generate_archive(RunConfig(input_size=640, seed=3))
+        p = tmp_path / "w.nmvg"
+        save_archive(src, p)
+        back = load_archive(p)
+        assert list(back.entries) == list(src.entries)
+        for name, arr in src.entries.items():
+            got = back.get(name)
+            assert got.shape == arr.shape and got.dtype == np.float32, name
+            assert got.tobytes() == arr.tobytes(), name
 
 
 class TestEndianness:

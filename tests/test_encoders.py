@@ -50,6 +50,8 @@ class TestConfig:
             ("score_thresh", "0.5", "score_thresh must be a real number, got '0.5'"),
             ("score_thresh", True, "score_thresh must be a real number, got True"),
             ("mask_thresh", None, "mask_thresh must be a real number, got None"),
+            pytest.param("score_thresh", 10**400, "score_thresh must be finite", id="score_thresh-1e400-int"),
+            pytest.param("mask_thresh", -(10**400), "mask_thresh must be finite", id="mask_thresh--1e400-int"),
             ("vocab_path", 3, "vocab_path must be None, a str or a path-like, got 3"),
             ("vocab_path", b"v.txt", "vocab_path must be None, a str or a path-like"),
         ],

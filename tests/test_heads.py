@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nmvg.heads import (
     MIN_BOX_SIDE,
@@ -15,6 +16,7 @@ from nmvg.heads import (
     MsRepParams,
     RecHeadParams,
     ResHeadParams,
+    _peak_mask,
     decode_boxes,
     msrep_forward,
     msrep_fuse,
@@ -183,6 +185,25 @@ class TestDecodeBoxes:
         boxes = decode_boxes(heat, wh, off, r=1, k=10, score_thresh=0.5)
         assert len(boxes) == 1
         assert (boxes[0].cx, boxes[0].cy) == (3.0, 3.0)
+
+    def test_peak_mask_equals_the_window_form(self):
+        """The separable 3x3 max keeps the 3x3 window max's cells, plateau
+        ties and -inf border included."""
+        rng = np.random.default_rng(7)
+        # Few levels, so most cells tie with a neighbour; whole-map bands on
+        # the borders make plateaus that touch the padding.
+        heat = rng.integers(0, 4, (160, 160)).astype(np.float32) / 4
+        heat[0, :40] = heat[:40, -1] = heat[-1, -40:] = heat[-40:, 0] = 1.0
+        heat[70:90, 70:90] = 1.0
+        pad = np.pad(heat, 1, constant_values=-np.inf)
+        win = sliding_window_view(pad, (3, 3)).max(axis=(2, 3))
+        earlier = np.zeros(heat.shape, dtype=bool)
+        for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
+            earlier |= pad[1 + dr : 161 + dr, 1 + dc : 161 + dc] == heat
+        want = (heat >= win) & ~earlier
+        got = _peak_mask(heat)
+        assert got.dtype == bool and want.any()
+        np.testing.assert_array_equal(got, want)
 
     def test_uniform_map_yields_single_corner_box(self):
         heat = np.full((6, 6), 0.8, dtype=np.float32)

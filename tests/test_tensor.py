@@ -119,6 +119,18 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ConvParams(kernel=np.ones((3, 1, 1, 1), dtype=np.float32), groups=2)
 
+    @pytest.mark.parametrize(
+        "field,value", [("stride", 1.5), ("padding", True), ("groups", 1.0), ("stride", "2"), ("padding", None)]
+    )
+    def test_non_integer_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ConvParams(np.ones((2, 1, 3, 3), dtype=np.float32), **{field: value})
+
+    def test_numpy_integer_geometry_stored_as_int(self):
+        p = ConvParams(np.ones((2, 1, 3, 3), dtype=np.float32), stride=np.int64(2), padding=np.uint8(1), groups=np.int32(2))
+        assert (p.stride, p.padding, p.groups) == (2, 1, 2)
+        assert {type(v) for v in (p.stride, p.padding, p.groups)} == {int}
+
     def test_output_dtype_float32(self):
         p = ConvParams(kernel=np.ones((1, 1, 1, 1), dtype=np.float32))
         assert conv2d(np.ones((1, 1, 2, 2), dtype=np.float32), p).dtype == np.float32
