@@ -5,43 +5,27 @@ The in-memory currency of the whole runtime is a float32 numpy array laid
 out row-major as (batch, channel, row, col).  Every public function here is
 pure, inputs never mutated and outputs freshly allocated, except where a
 ``conv2d`` caller asks otherwise: ``out=`` names the array its tiles are
-written into (the conv's own input for a 1x1 conv that keeps its channel
-count), and ``hook=`` hands each finished tile to the caller instead of
-any output.  Convolutions
-read their zero-padded input as stride-phase planes (``_planes``: plane
-(a, b) holds padded rows a::stride and columns b::stride) and take one of
-two paths: depthwise kernels shift-and-accumulate their taps, each tap
-one flat slice of a float64 plane, and dense and grouped kernels copy
-im2col columns out of float32 planes and contract them in batched
-matmuls.  Both accumulate in float64 before rounding back to float32,
-which keeps results stable enough to compare against scalar reference
-loops.  A conv allocates its float32 output once and works through it in
-tiles (blocks of output rows, and of channels when depthwise) whose work
-fits buffers of about ``_TILE`` elements reused from tile to tile, so no
-float64 temporary ever spans the whole map and the input is never padded
-as a whole; each tile is rounded straight into its slice of the output.
-``conv2d(x, p, bn, act)`` then finishes that slice in place with
-batchnorm and an activation while it is still in cache, in the tile's own
-free work buffer, using the same in-place helpers (``_normalize``,
-``_activate``) as ``batchnorm_inference`` and ``activation``, so the fused
-result equals the separate passes bit for bit.  A tile hook runs after
-that epilogue, on the tile's core.
+written into, and ``hook=`` takes each finished tile instead of an output.
 
-Threading: ``_map_tiles`` runs a conv's tiles on one thread per core the
-process may run on, each pulling the next tile from one queue; the
-calling thread is one of them and a module-level pool of cores - 1
-threads runs the others, while numpy releases the GIL inside each copy,
-ufunc and matmul.  The calling thread allocates every thread's buffers,
-and each pool job runs in a copy of the caller's context, so the
-caller's ``np.errstate`` holds there too.  Tiles, tap order and GEMM
-shapes do not depend on the split, so outputs are bitwise the same on
-any core count.
-The pool (and ``concurrent.futures``) is made by the first conv that
-spans two threads, and made again by a forked child's first such conv.
-With more than one core, importing this module puts numpy's bundled
-OpenBLAS on one thread for the whole process, since the cores already run
-one tile each.  The threading and the OpenBLAS pin were timed on two
-cores only.
+What this module holds to:
+
+* A conv multiplies and sums in float64 and rounds each output once to
+  float32.
+* A conv works through its output in tiles whose float64 work fits
+  buffers of about ``_TILE`` elements, reused from tile to tile, so no
+  float64 temporary spans a whole map; ``conv2d(x, p, bn, act)`` finishes
+  each tile in place with the helpers ``batchnorm_inference`` and
+  ``activation`` use, so the fused result equals the separate calls.
+* ``_map_tiles`` runs a conv's tiles on one thread per core, each pulling
+  the next tile from one queue.  The calling thread allocates every
+  thread's buffers, and the tiles run in the caller's ``np.errstate``
+  with ufunc buffers of ``_BUFSIZE`` elements.  Tiles, tap order and GEMM
+  shapes depend neither on the split nor on the batch, so outputs are
+  bitwise the same on any core count and for any batch a frame is in.
+* Importing the module starts no thread; with more than one core it puts
+  numpy's bundled OpenBLAS on one thread for the whole process.
+
+README.md (Performance) gives the reasons and the measurements.
 """
 
 from __future__ import annotations
@@ -69,7 +53,7 @@ _KINDS = get_args(ActivationKind)
 _TILE = 1 << 18
 # numpy's ufunc buffer size (elements) while tiles run.  A ufunc whose
 # per-channel operand is broadcast over runs shorter than the buffer runs
-# 2-3.5x slower per element, so the tiles use a buffer below their runs.
+# slower per element, so the tiles use a buffer below their runs.
 _BUFSIZE = 512
 # The text pooling window of maxpool1d: kernel 3, stride 2.
 _POOL_KERNEL, _POOL_STRIDE = 3, 2

@@ -5,8 +5,9 @@ arithmetic, one formula per line) and deliberately shares no code with
 the package beyond parameter containers.  Tests trust these before
 trusting the fast paths.  The one exception is the compositions at the
 end: they rebuild layers that write maps over each other, or attend in
-another layout, from the package's public ops, one fresh array per step,
-as the bit-for-bit reference for the in-place and channel-major forms.
+another layout, and the whole forward, from the package's public ops,
+one fresh array per step, as the bit-for-bit reference for the in-place,
+tiled and channel-major forms.
 """
 
 from __future__ import annotations
@@ -672,6 +673,85 @@ def rec_head_steps(feat, p):
     heat = rec_branch_steps(feat, p.conf, "sigmoid")
     heat = np.clip(heat, np.float32(1e-7), np.float32(1.0 - 1e-7))
     return heat, rec_branch_steps(feat, p.wh), rec_branch_steps(feat, p.offset)
+
+
+def _nearest2(x):
+    """The 2x nearest-neighbour blow-up of x, made whole."""
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
+def forward_reference(model, image, radar, tokens):
+    """``Model.forward``'s four outputs (heatmap, sizes, offsets,
+    mask_logits) as the plain composition of the public layer calls on
+    the model's own bound bundles: every conv unfused (``conv_steps``),
+    every add a whole-map add, each nearest 2x step made whole by
+    ``np.repeat``, the mask by ``upsample``, no ``out=`` or ``hook=``, and
+    every map kept."""
+    from nmvg.enmoe import MIN_EXTENT
+    from nmvg.fusion import deform_conv, eca, scaled_attend
+    from nmvg.tensor import ConvParams, activation, batchnorm_inference, conv2d, maxpool1d, upsample
+
+    cfg = model.cfg
+    image, radar = (np.asarray(x, dtype=np.float32) for x in (image, radar))
+
+    def sep(x, b):
+        return conv_steps(conv_steps(x, b.dw), b.pw, b.bn, "relu")
+
+    x = sep(image, model.image_p.stem)
+    img = []
+    for stage in model.image_p.stages:
+        x = sep(x, stage)
+        img.append(x)
+
+    rp = model.radar_p
+    x = conv_steps(radar, rp.stem_dw, rp.stem_bn, "relu")
+    rad = []
+    for stage in rp.stages:
+        h = conv_steps(x, stage.block1_dw, stage.block1_bn, "relu")
+        h = conv_steps(h, stage.block2_dw, stage.block2_bn, "relu")
+        x = sep(h + x, stage.down)
+        rad.append(x)
+
+    text = model.text_p.embedding[tokens.ids].T.astype(np.float64)
+    fused = []
+    for i, p in enumerate(model.tmdf_p):
+        weight, bias = model.adapters[i]
+        stage_text = (weight.astype(np.float64) @ text + bias.astype(np.float64)[:, None]).astype(np.float32)
+        mixed = conv2d(img[i], p.w_img) + eca(conv2d(rad[i], p.w_radar), p.eca)
+        q_map = deform_conv(mixed, p.deform) + p.lpe
+        coded = (stage_text + p.ape).astype(np.float64)
+        t = p.w_text.astype(np.float64) @ coded + p.w_text_bias.astype(np.float64)[:, None]
+        kv = maxpool1d(t.astype(np.float32))
+        n, c, hh, ww = q_map.shape
+        ctx, _ = scaled_attend(q_map.reshape(n, c, hh * ww), kv, normalize=cfg.attention_normalize)
+        fused.append(ctx.reshape(n, c, hh, ww))
+
+    fp = model.fpn_p
+    tops = [conv2d(fused[3], fp.lateral[3])]
+    for i in (2, 1, 0):
+        tops.append(conv2d(fused[i], fp.lateral[i]) + _nearest2(tops[-1]))
+    pyramid = [conv2d(t, sp) for t, sp in zip(tops[::-1], fp.smooth)]
+
+    routed = [
+        enmoe_steps(level, ep) if min(level.shape[2:]) >= MIN_EXTENT else level
+        for level, ep in zip(pyramid, model.enmoe_p)
+    ]
+    heat, sizes, offsets = rec_head_steps(routed[cfg.head_scale - 2], model.rec_p)
+
+    res = model.res_p
+    d = conv2d(routed[3], res.entry)
+    for finer, block in zip(routed[2::-1], res.blocks):
+        if isinstance(block, ConvParams):
+            merged = conv2d(d, block)
+        else:
+            merged = (
+                conv_steps(d, block.conv3, block.bn3)
+                + conv_steps(d, block.conv1, block.bn1)
+                + batchnorm_inference(d, block.bn_id)
+            )
+        d = finer + _nearest2(activation(merged + d, "relu"))
+    logits = conv2d(d, res.proj)
+    return heat, sizes, offsets, upsample(logits, cfg.input_size // logits.shape[2])
 
 
 def deform_conv_fresh(x, p):

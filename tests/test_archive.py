@@ -245,6 +245,17 @@ class TestLoadErrors:
         with pytest.raises(NonFiniteError, match="entry 'second'"):
             load_archive(p)
 
+    def test_non_finite_error_names_the_first_bad_entry_in_manifest_order(self, tmp_path):
+        """Of several bad entries the error names the first one the
+        manifest lists, which here is the last one in the blob."""
+        p = tmp_path / "w.nmvg"
+        blob = struct.pack("<3f", float("nan"), 1.0, float("inf"))
+        p.write_bytes(_raw(b"late f32 1 8\nok f32 1 4\nearly f32 1 0\n", blob))
+        with pytest.raises(NonFiniteError, match="entry 'late'"):
+            load_archive(p)
+        with pytest.raises(NonFiniteError, match="entry 'late'"):
+            WeightArchive(entries={"late": [np.inf], "ok": [1.0], "early": [np.nan]})
+
     def test_error_hierarchy(self):
         for exc in (BadMagicError, ManifestError, BlobBoundsError, OffsetOverlapError, MissingParameterError):
             assert issubclass(exc, ValueError)

@@ -88,6 +88,21 @@ class TestDeformConv:
         x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
         np.testing.assert_allclose(deform_conv(x, p), conv2d(x, p.main), atol=1e-6)
 
+    def test_sums_in_float64_and_rounds_once(self):
+        """With zero offsets the centre output's taps are (a, -b, a) times
+        (a, 2, a), a = 1 + 2^-12 and b = 1 + 2^-11, plus the zero border:
+        only float64 products and sums give the exact 2^-23 (see
+        ``TestConv2d.test_sums_in_float64_and_rounds_once``)."""
+        a, b = 1 + 2.0**-12, 1 + 2.0**-11
+        x = np.float32([a, -b, a]).reshape(1, 1, 1, 3)
+        kernel = np.zeros((1, 1, 3, 3), np.float32)
+        kernel[0, 0, 1] = [a, 2.0, a]
+        p = DeformParams(
+            offset_conv=ConvParams(np.zeros((18, 1, 3, 3), np.float32), padding=1),
+            main=ConvParams(kernel, padding=1),
+        )
+        assert deform_conv(x, p)[0, 0, 0, 1] == 2.0**-23
+
     def test_integer_offset_shifts_one_column(self):
         """Offset (0, +1) on every tap samples the next column, so the
         result equals a standard conv over the column-shifted input."""
@@ -373,6 +388,19 @@ class TestScaledAttend:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             scaled_attend(np.zeros((1, 3, 2), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
+
+    def test_similarity_and_context_formed_in_float64(self):
+        """Query (a, -b, a) against the key (a, 2, a), a = 1 + 2^-12 and
+        b = 1 + 2^-11: only a float64 dot product gives the exact 2^-23
+        (then / sqrt(3)), and the context scales the value by that float64
+        similarity before it rounds."""
+        a, b = 1 + 2.0**-12, 1 + 2.0**-11
+        q = np.float32([a, -b, a]).reshape(1, 3, 1)
+        kv = np.float32([a, 2.0, a]).reshape(3, 1)
+        ctx, sim = scaled_attend(q, kv)
+        s = 2.0**-23 / math.sqrt(3.0)
+        assert sim.ravel().tolist() == [np.float32(s)]
+        assert ctx.ravel().tolist() == [np.float32(v * s) for v in kv.ravel().tolist()]
 
     def test_softmax_at_extreme_similarities(self):
         """Similarities near +-1e4 overflow exp unless each row is shifted

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import forward_reference
 
 import nmvg.model as model_mod
+from nmvg import tensor
 from nmvg.archive import (
     ArchiveError,
     MissingParameterError,
@@ -351,9 +353,10 @@ class TestForward:
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_valid_configs_run_on_both_archive_forms(self, size, text_len, head_scale, normalize):
         """Any valid config, on its generated archive and on the fold of it,
-        gives finite outputs of the stated shapes, and a batch of two frames
-        gives each frame the bits it gets alone.  At input 160 stage 3 is
-        exactly ENMoE's MIN_EXTENT."""
+        gives finite outputs of the stated shapes, the bits of the plain
+        layer composition, and a batch of two frames gives each frame the
+        bits it gets alone.  At input 160 stage 3 is exactly ENMoE's
+        MIN_EXTENT."""
         cfg = RunConfig(input_size=size, text_len=text_len, head_scale=head_scale, attention_normalize=normalize)
         archive = generate_archive(cfg)
         rng = np.random.default_rng(size + text_len)
@@ -376,10 +379,43 @@ class TestForward:
             for name, shape in shapes.items():
                 assert getattr(batch, name).shape == shape, name
                 assert np.isfinite(getattr(batch, name)).all(), name
+            for name, want in zip(shapes, forward_reference(model, image, radar, tokens)):
+                assert np.array_equal(getattr(batch, name), want), name
             for i in range(2):
                 alone = model.forward(image[i : i + 1], radar[i : i + 1], tokens)
                 for name in shapes:
                     assert np.array_equal(getattr(batch, name)[i : i + 1], getattr(alone, name)), (i, name)
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["default-tiles", "small-tiles-two-cores"])
+    @pytest.mark.parametrize("fold", [False, True], ids=["train", "folded"])
+    def test_forward_is_the_plain_layer_composition(self, small_archive, cores, monkeypatch, fold, tiled):
+        """A batch of two through ``Model.forward`` gives the bits of
+        ``forward_reference``: every conv unfused, whole-map adds, nearest
+        steps made whole and every map kept.  So the in-place glue, the
+        fused epilogues, the ENMoE blend hook and the map drops change no
+        bit, also when the convs run many tiles on two threads."""
+        archive = fuse_archive(small_archive) if fold else small_archive
+        model = Model.from_archive(SMALL, archive)
+        rng = np.random.default_rng(12)
+        image = rng.random((2, 3, 64, 64), dtype=np.float32)
+        radar = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+        tokens = tokenize("the small green buoy near the dock", list(DEFAULT_VOCAB), SMALL.text_len)
+        want = forward_reference(model, image, radar, tokens)
+        tiles, map_tiles = [], tensor._map_tiles
+
+        def count_tiles(t, make_tile):
+            tiles.append(len(t))
+            map_tiles(t, make_tile)
+
+        if tiled:
+            cores(2)
+            monkeypatch.setattr(tensor, "_TILE", 1 << 12)
+            monkeypatch.setattr(tensor, "_map_tiles", count_tiles)
+        out = model.forward(image, radar, tokens)
+        for name, a in zip(("heatmap", "sizes", "offsets", "mask_logits"), want):
+            assert np.array_equal(getattr(out, name), a), name
+        # All but the convs on the coarsest maps run several tiles (71 of 82).
+        assert not tiled or sum(t > 1 for t in tiles) > 3 * len(tiles) // 4
 
     def test_deterministic_forward(self, small_archive):
         model = Model.from_archive(SMALL, small_archive)

@@ -131,6 +131,23 @@ class TestConv2d:
         assert (p.stride, p.padding, p.groups) == (2, 1, 2)
         assert {type(v) for v in (p.stride, p.padding, p.groups)} == {int}
 
+    @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
+    def test_sums_in_float64_and_rounds_once(self, groups):
+        """Inputs (a, -b, a) times weights (a, 2, a) with a = 1 + 2^-12 and
+        b = 1 + 2^-11: a*a = b + 2^-24 needs 25 bits, so the exact sum
+        2^-23 comes only from float64 products and sums rounded once; in
+        float32, in any order and with or without FMA, it is 0 or 2^-24.
+        Dense: three input channels of a 1x1 conv (one GEMM entry);
+        depthwise: the taps of a 1x3 kernel."""
+        a, b = 1 + 2.0**-12, 1 + 2.0**-11
+        x, w = np.float32([a, -b, a]), np.float32([a, 2.0, a])
+        if groups == 1:
+            x, kernel = x.reshape(1, 3, 1, 1), w.reshape(1, 3, 1, 1)
+        else:
+            x, kernel = np.tile(x, (1, 3, 1, 1)), np.tile(w, (3, 1, 1, 1))
+        out = conv2d(x, ConvParams(kernel, groups=groups))
+        assert out.ravel().tolist() == [2.0**-23] * kernel.shape[0]
+
     def test_output_dtype_float32(self):
         p = ConvParams(kernel=np.ones((1, 1, 1, 1), dtype=np.float32))
         assert conv2d(np.ones((1, 1, 2, 2), dtype=np.float32), p).dtype == np.float32
