@@ -14,7 +14,7 @@ from .archive import (
     save_archive,
 )
 from .heads import BinaryMask, DetectionBox, decode_boxes, msrep_fuse
-from .losses import LossConfig, UncertaintyWeights, total_loss
+from .losses import UncertaintyWeights, total_loss
 from .metrics import EnergyTrace, EvalResult, average_precision, box_iou, mask_miou, mept
 from .model import (
     DEFAULT_VOCAB,
@@ -40,7 +40,6 @@ __all__ = [
     "DetectionBox",
     "EnergyTrace",
     "EvalResult",
-    "LossConfig",
     "ManifestError",
     "MissingParameterError",
     "NonFiniteError",

@@ -25,6 +25,7 @@ from .tensor import (
     ShapeError,
     _activate,
     _as_int,
+    _as_real,
     _own,
     _pyramid,
     _upsample2_add,
@@ -48,11 +49,9 @@ class DetectionBox:
 
     def __post_init__(self):
         for name in ("cx", "cy", "w", "h", "score"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
-            raise ValueError(f"box centre must be finite, got cx={self.cx}, cy={self.cy}")
-        if not (0 < self.w < np.inf and 0 < self.h < np.inf):
-            raise ValueError(f"box sides must be positive and finite, got w={self.w}, h={self.h}")
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
+        if not (self.w > 0 and self.h > 0):
+            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
         if not (0.0 < self.score < 1.0):
             raise ValueError(f"score must lie in (0, 1), got {self.score}")
 
@@ -169,15 +168,15 @@ def decode_boxes(
     A peak at cell (row, col) with offset (ox, oy) and size (sw, sh)
     becomes cx=(col+ox)*r, cy=(row+oy)*r, w=sw*r, h=sh*r; a side below
     MIN_BOX_SIDE (a zero or negative size) is raised to it.  ValueError
-    unless k is a positive integer, r > 0 and score_thresh and the heatmap finite.
+    unless k is a positive integer, r a positive real and the heatmap finite.
     """
     k = _as_int("k", k)
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    r = _as_real("r", r)
     if not r > 0:
         raise ValueError(f"downsample ratio r must be positive, got {r}")
-    if not np.isfinite(score_thresh):
-        raise ValueError(f"score_thresh must be finite, got {score_thresh}")
+    score_thresh = _as_real("score_thresh", score_thresh)
     heat = _plane(heatmap, 1, "heatmap")
     wh = _plane(sizes, 2, "size map")
     off = _plane(offsets, 2, "offset map")

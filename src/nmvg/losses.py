@@ -18,31 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _as_int, _as_real
+
 log = logging.getLogger(__name__)
 
 _CLAMP_LO = 1e-6
 _CLAMP_HI = 1.0 - 1e-6
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    alpha_conf: float = 2.0
-    beta_conf: float = 4.0
-    tau1: float = 1.0
-    tau2: float = 0.1
-    tau3: float = 1.0
-    alpha_res: float = 0.25
-    gamma_res: float = 2.0
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("alpha_conf", "beta_conf", "alpha_res", "gamma_res"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+# The paper's fixed loss weights, not settings: the focal exponents of the
+# confidence loss (CenterNet, arXiv 1904.07850) and of the mask loss, the
+# term weights of rec_loss and res_loss, and Dice's smoothing term.
+ALPHA_CONF, BETA_CONF = 2.0, 4.0
+ALPHA_RES, GAMMA_RES = 0.25, 2.0
+TAUS = (1.0, 0.1, 1.0)
+LAMBDAS = (1.0, 1.0)
+DICE_SMOOTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -53,21 +43,19 @@ class UncertaintyWeights:
     log_sigma2: float = 0.0
 
     def __post_init__(self):
-        """Each log-sigma must give a finite, positive sigma and sigma²."""
+        """Each log-sigma, stored as a float, must give a finite, positive sigma and sigma²."""
         for name in ("log_sigma1", "log_sigma2"):
-            log_sigma = getattr(self, name)
-            try:
-                sigma = math.exp(log_sigma)
-            except OverflowError:
-                sigma = math.inf
+            log_sigma = _as_real(name, getattr(self, name))
+            object.__setattr__(self, name, log_sigma)
+            sigma = math.exp(min(log_sigma, 709.0))  # below exp's overflow; sigma² is inf from 355 on
             if not 0.0 < sigma * sigma < math.inf:
                 raise ValueError(f"{name} must give a finite positive sigma and sigma², got {log_sigma}")
 
     @classmethod
     def from_sigmas(cls, sigma1: float, sigma2: float) -> "UncertaintyWeights":
         for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
-            if not (math.isfinite(sigma) and sigma > 0):
-                raise ValueError(f"{name} must be finite and positive, got {sigma}")
+            if not _as_real(name, sigma) > 0:
+                raise ValueError(f"{name} must be positive, got {sigma}")
         return cls(log_sigma1=math.log(sigma1), log_sigma2=math.log(sigma2))
 
     @property
@@ -119,13 +107,13 @@ def gaussian_target(
 ) -> HeatmapTarget:
     """Splat one Gaussian per object and keep the per-cell maximum.
 
-    centers are integer (col, row) cells; sizes are (width, height) in
-    the same grid units and set each Gaussian's radius via the 0.7
-    minimum-overlap rule with sigma = radius / 3.  The map is exactly 1
-    at every annotated center.
+    centers are integer (col, row) cells; sizes are non-negative (width,
+    height) in the same grid units and set each Gaussian's radius via the
+    0.7 minimum-overlap rule with sigma = radius / 3.  The map is exactly
+    1 at every annotated center.
     """
-    centers = [(int(cx), int(cy)) for cx, cy in centers]
-    sizes = [(float(sw), float(sh)) for sw, sh in sizes]
+    centers = [(_as_int("center col", cx), _as_int("center row", cy)) for cx, cy in centers]
+    sizes = [(_as_real("size width", sw), _as_real("size height", sh)) for sw, sh in sizes]
     if len(centers) != len(sizes):
         raise ValueError(f"{len(centers)} centers but {len(sizes)} sizes")
     for cx, cy in centers:
@@ -135,6 +123,8 @@ def gaussian_target(
     heat = np.zeros((h, w), dtype=np.float64)
     radii = []
     for (cx, cy), (sw, sh) in zip(centers, sizes):
+        if sw < 0 or sh < 0:
+            raise ValueError(f"size ({sw}, {sh}) must not be negative")
         radius = _gaussian_radius(sh, sw)
         radii.append(radius)
         sigma = max(radius, 1e-6) / 3.0
@@ -191,20 +181,21 @@ def _focal(p_raw, pos, weight, a: float, norm: float, name: str):
     return float(value), grad
 
 
-def conf_loss(pred, target, cfg: LossConfig = LossConfig()):
+def conf_loss(pred, target):
     """Penalty-reduced focal loss over the confidence heatmap.
 
-    Cells with target exactly 1 contribute (1-p)^alpha log p; all other
-    cells contribute (1-y)^beta p^alpha log(1-p).  The sum is negated and
-    divided by the number of positive cells (floored at one).
+    Cells with target exactly 1 contribute (1-p)^ALPHA_CONF log p; all
+    other cells contribute (1-y)^BETA_CONF p^ALPHA_CONF log(1-p).  The
+    sum is negated and divided by the number of positive cells (floored
+    at one).
     """
     y = target.heatmap if isinstance(target, HeatmapTarget) else target
     p, y = _checked(pred, y, "conf_loss", "probability")
     if p.shape != y.shape:
         raise ValueError(f"prediction shape {p.shape} != target shape {y.shape}")
     pos = y == 1.0
-    weight = np.where(pos, 1.0, (1 - y) ** cfg.beta_conf)
-    return _focal(p, pos, weight, cfg.alpha_conf, max(int(pos.sum()), 1), "conf_loss")
+    weight = np.where(pos, 1.0, (1 - y) ** BETA_CONF)
+    return _focal(p, pos, weight, ALPHA_CONF, max(int(pos.sum()), 1), "conf_loss")
 
 
 def offset_loss(pred, centers, downsample: int):
@@ -213,11 +204,12 @@ def offset_loss(pred, centers, downsample: int):
     centers are image-plane (x, y); each maps to the cell floor(p / R)
     with target p / R minus that cell.  The mean runs over both
     coordinates of every object, and the gradient is non-zero only at
-    the sampled cells.
+    the sampled cells.  downsample is an integer of at least 1.
     """
     p, pts = _checked(pred, centers, "offset_loss")
     if p.ndim != 3 or p.shape[0] != 2:
         raise ValueError(f"offset map must be (2, h, w), got shape {p.shape}")
+    downsample = _as_int("downsample", downsample)
     if downsample < 1:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
     pts = pts.reshape(-1, 2)
@@ -333,26 +325,28 @@ def _ciou(p: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def dice_loss(pred, target, smooth: float = 1.0):
-    """Soft Dice loss 1 - (2 sum(p g) + s) / (sum(p) + sum(g) + s)."""
+def dice_loss(pred, target):
+    """Soft Dice loss 1 - (2 sum(p g) + s) / (sum(p) + sum(g) + s) with
+    s = DICE_SMOOTH."""
     p, g = _checked(pred, target, "dice_loss", "mask")
     p = p.reshape(-1)
     g = g.reshape(-1)
     if p.size != g.size:
         raise ValueError(f"prediction has {p.size} elements, target has {g.size}")
-    num = 2.0 * float(p @ g) + smooth
-    den = float(p.sum() + g.sum()) + smooth
+    num = 2.0 * float(p @ g) + DICE_SMOOTH
+    den = float(p.sum() + g.sum()) + DICE_SMOOTH
     value = 1.0 - num / den
     grad = ((num - 2.0 * g * den) / den**2).reshape(np.shape(pred))
     return float(value), grad
 
 
-def focal_seg_loss(pred, target, cfg: LossConfig = LossConfig()):
-    """Binary focal loss, mean over pixels: -alpha (1 - p_t)^gamma log p_t."""
+def focal_seg_loss(pred, target):
+    """Binary focal loss, mean over pixels:
+    -ALPHA_RES (1 - p_t)^GAMMA_RES log p_t."""
     p, g = _checked(pred, target, "focal_seg_loss", "mask")
     if p.shape != g.shape:
         raise ValueError(f"prediction shape {p.shape} != target shape {g.shape}")
-    return _focal(p, g == 1.0, cfg.alpha_res, cfg.gamma_res, p.size, "focal_seg_loss")
+    return _focal(p, g == 1.0, ALPHA_RES, GAMMA_RES, p.size, "focal_seg_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +354,14 @@ def focal_seg_loss(pred, target, cfg: LossConfig = LossConfig()):
 # ---------------------------------------------------------------------------
 
 
-def rec_loss(conf: float, offset: float, wh: float, cfg: LossConfig = LossConfig()) -> float:
-    """Detection total: tau1 * conf + tau2 * offset + tau3 * wh."""
-    return cfg.tau1 * conf + cfg.tau2 * offset + cfg.tau3 * wh
+def rec_loss(conf: float, offset: float, wh: float) -> float:
+    """Detection total: tau1 * conf + tau2 * offset + tau3 * wh over TAUS."""
+    return TAUS[0] * conf + TAUS[1] * offset + TAUS[2] * wh
 
 
-def res_loss(dice: float, focal: float, cfg: LossConfig = LossConfig()) -> float:
-    """Segmentation total: lambda1 * dice + lambda2 * focal."""
-    return cfg.lambda1 * dice + cfg.lambda2 * focal
+def res_loss(dice: float, focal: float) -> float:
+    """Segmentation total: lambda1 * dice + lambda2 * focal over LAMBDAS."""
+    return LAMBDAS[0] * dice + LAMBDAS[1] * focal
 
 
 def total_loss(l_rec: float, l_res: float, u: UncertaintyWeights = UncertaintyWeights()) -> float:
@@ -377,11 +371,9 @@ def total_loss(l_rec: float, l_res: float, u: UncertaintyWeights = UncertaintyWe
           + log sigma1 + log sigma2
 
     With both sigmas at 1 this is exactly half the sum of the two parts.
-    A NaN or infinite loss term raises ValueError naming it.
+    Each loss term must be a finite real, or ValueError names it.
     """
-    for name, term in (("l_rec", l_rec), ("l_res", l_res)):
-        if not math.isfinite(term):
-            raise ValueError(f"{name} must be finite, got {term}")
+    l_rec, l_res = _as_real("l_rec", l_rec), _as_real("l_res", l_res)
     s1 = u.sigma1
     s2 = u.sigma2
     return (

@@ -11,32 +11,27 @@ percentage scale.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .heads import BinaryMask
-from .tensor import _as_int, _own
+from .tensor import _as_int, _as_real, _own
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100 for i in range(10))
 
 
 def _as_box(b) -> tuple[float, float, float, float]:
-    if hasattr(b, "cx"):
-        return float(b.cx), float(b.cy), float(b.w), float(b.h)
-    cx, cy, w, h = (float(v) for v in tuple(b)[:4])
-    return cx, cy, w, h
+    """A box's cx, cy, w and h (fields, or a sequence's first four items) as finite floats."""
+    cx, cy, w, h = (b.cx, b.cy, b.w, b.h) if hasattr(b, "cx") else tuple(b)[:4]
+    return _as_real("box cx", cx), _as_real("box cy", cy), _as_real("box w", w), _as_real("box h", h)
 
 
 def box_iou(a, b) -> float:
     """Intersection over union of two (cx, cy, w, h) boxes, which must be
     finite and of positive area."""
-    a, b = _as_box(a), _as_box(b)
-    if not all(map(math.isfinite, a + b)):
-        raise ValueError(f"boxes must be finite, got {a} and {b}")
-    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = _as_box(a), _as_box(b)
     if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
         raise ValueError("boxes must have positive area")
     ix = min(acx + aw / 2, bcx + bw / 2) - max(acx - aw / 2, bcx - bw / 2)
@@ -54,7 +49,8 @@ class EvalResult:
 
     def __post_init__(self):
         for name in ("ap50", "ap50_95", "ar50_95"):
-            v = getattr(self, name)
+            v = _as_real(name, getattr(self, name))
+            object.__setattr__(self, name, v)
             if not (0.0 <= v <= 100.0):
                 raise ValueError(f"{name} must lie in [0, 100], got {v}")
         if self.ap50 < self.ap50_95 - 1e-9:

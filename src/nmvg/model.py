@@ -12,7 +12,6 @@ in isolation.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import re
 import zlib
@@ -58,7 +57,7 @@ from .heads import (
     res_head_forward,
 )
 from .rasters import read_image, read_radar, write_boxes, write_mask, write_radar_raw, write_ppm
-from .tensor import BNParams, ConvParams, ShapeError, _as_int
+from .tensor import BNParams, ConvParams, ShapeError, _as_int, _as_real
 
 DEFAULT_VOCAB = (
     "<pad>",
@@ -104,16 +103,7 @@ class RunConfig:
             raise ValueError(f"attention_normalize must be a bool, got {self.attention_normalize!r}")
         object.__setattr__(self, "attention_normalize", bool(self.attention_normalize))
         for name in ("score_thresh", "mask_thresh"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         path = os.fspath(self.vocab_path) if isinstance(self.vocab_path, os.PathLike) else self.vocab_path
         if not isinstance(path, (str, type(None))):
             raise ValueError(f"vocab_path must be None, a str or a path-like, got {self.vocab_path!r}")
@@ -380,8 +370,10 @@ def _init_tensor(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
 
 
 def generate_archive(cfg: RunConfig, seed: int | None = None) -> WeightArchive:
-    """Deterministic random weights for every tensor of the model."""
-    seed = cfg.seed if seed is None else seed
+    """Deterministic random weights for every tensor of the model, at ``seed`` or ``cfg.seed``."""
+    seed = cfg.seed if seed is None else _as_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     entries = {
         name: _init_tensor(name, shape, seed)
         for name, shape in parameter_shapes(cfg).items()

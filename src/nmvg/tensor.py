@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import math
+import numbers
 import operator
 import os
 import threading
@@ -135,6 +137,21 @@ def _as_int(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_real(name: str, value) -> float:
+    """``value``, a non-bool ``numbers.Real``, as a finite float; '0.5',
+    True, NaN, inf or 10**400 raises ValueError naming ``name``."""
+    if type(value) is not float:  # a float skips the slow ABC test
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got a value beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _own(obj, name: str, ndim: int, lead: tuple = (), dtype=np.float32) -> np.ndarray:
     """Store a bundle's array field as a C-contiguous ``dtype`` array of
     ``ndim`` axes whose leading lengths are ``lead``, and return it.  An
@@ -203,6 +220,9 @@ class BNParams:
             _own(self, name, 1, c)
         if not (self.running_var >= 0).all():  # also false for NaN
             raise ValueError("running_var contains negative or NaN entries")
+        if not np.isfinite(np.concatenate((self.gamma, self.beta, self.running_mean, self.running_var))).all():
+            raise ValueError("gamma, beta, running_mean and running_var must be finite")
+        object.__setattr__(self, "epsilon", _as_real("epsilon", self.epsilon))
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
@@ -697,7 +717,8 @@ def upsample(x: FeatureMap, factor: int) -> FeatureMap:
     float32 steps as the four-corner form, top = tl * (1 - wx) + tr * wx,
     bot likewise, top * (1 - wy) + bot * wy, so the bits are the same."""
     x = _as_f32(x, 4, "upsample input")
-    if int(factor) != factor or factor < 1:
+    factor = _as_int("factor", factor)
+    if factor < 1:
         raise ShapeError(f"upsample factor must be a positive integer, got {factor}")
     if factor == 1:
         return x.copy()

@@ -15,7 +15,8 @@ from nmvg.enmoe import EnMoeParams, enmoe_forward
 from nmvg.fusion import DeformParams, EcaParams, TmdfParams, deform_conv, tmdf_fuse
 from nmvg.heads import DetectionBox, decode_boxes, msrep_forward, msrep_fuse
 from nmvg.losses import (
-    LossConfig,
+    LAMBDAS,
+    TAUS,
     UncertaintyWeights,
     ciou_wh_loss,
     conf_loss,
@@ -253,11 +254,10 @@ def test_criterion_6_loss_assembly_constants():
     for l_rec, l_res in ((2.0, 4.0), (0.3, 0.7), (5.5, 1.25), (0.0, 0.0)):
         assert total_loss(l_rec, l_res, unit) == 0.5 * l_rec + 0.5 * l_res
 
-    cfg = LossConfig()
-    assert (cfg.tau1, cfg.tau2, cfg.tau3) == (1.0, 0.1, 1.0)
-    assert (cfg.lambda1, cfg.lambda2) == (1.0, 1.0)
-    assert rec_loss(3.0, 10.0, 2.0, cfg) == pytest.approx(3.0 + 1.0 + 2.0, abs=1e-12)
-    assert res_loss(0.25, 0.5, cfg) == pytest.approx(0.75, abs=1e-12)
+    assert TAUS == (1.0, 0.1, 1.0)
+    assert LAMBDAS == (1.0, 1.0)
+    assert rec_loss(3.0, 10.0, 2.0) == pytest.approx(3.0 + 1.0 + 2.0, abs=1e-12)
+    assert res_loss(0.25, 0.5) == pytest.approx(0.75, abs=1e-12)
 
     skewed = UncertaintyWeights.from_sigmas(1.0, 2.0)
     assert total_loss(2.0, 4.0, skewed) == pytest.approx(1.5 + np.log(2.0), abs=1e-12)

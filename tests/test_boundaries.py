@@ -3,13 +3,16 @@
 ``TestBoundaryRaises`` holds the refusals no other test reaches: each
 case builds the smallest input that crosses one boundary and asserts the
 documented error type and message.  ``TestExportedCallablesProbe`` hands
-each number-taking callable of ``nmvg.__all__`` a NaN, an infinity, a
-zero and a negative value, and pins whether each is refused, with the
-documented type, or accepted.
+each number-taking callable of ``nmvg.__all__``, and each scalar argument
+checked by ``tensor._as_real`` or ``tensor._as_int``, a NaN, an infinity,
+a zero, a negative value, a numeric string and a bool, and pins whether
+each is refused, with the documented type, or accepted.  An array
+argument takes what numpy casts, so '1' and True reach it as 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -23,10 +26,10 @@ from nmvg.encoders import tokenize
 from nmvg.fpn import FpnParams
 from nmvg.fusion import DeformParams, deform_conv, sinusoidal_encoding, tmdf_fuse
 from nmvg.heads import MsRepParams, decode_boxes, msrep_fuse
-from nmvg.losses import ciou_wh_loss, dice_loss, focal_seg_loss, offset_loss
+from nmvg.losses import ciou_wh_loss, dice_loss, focal_seg_loss, gaussian_target, offset_loss
 from nmvg.metrics import EnergyTrace
 from nmvg.rasters import RasterError, read_boxes, read_image, read_mask, write_ppm, write_radar_raw
-from nmvg.tensor import BNParams, ShapeError, batchnorm_inference, conv2d, maxpool1d
+from nmvg.tensor import ShapeError, batchnorm_inference, conv2d, maxpool1d, upsample
 
 
 def _rng():
@@ -205,79 +208,136 @@ _MODEL32 = nmvg.Model.from_archive(_CFG32, nmvg.generate_archive(_CFG32))
 _TOKENS32 = tokenize("the red buoy", nmvg.DEFAULT_VOCAB, 3)
 
 
-def _msrep_var(v):
+def _msrep_bn(field: str, v):
+    """msrep_fuse with entry 0 of bn3's ``field``, or its epsilon, set to v."""
     p = rand_msrep(_rng(), 2)
-    var = p.bn3.running_var.copy()
-    var[0] = v
-    bn3 = BNParams(p.bn3.gamma, p.bn3.beta, p.bn3.running_mean, var)
-    return msrep_fuse(MsRepParams(p.conv3, bn3, p.conv1, p.bn1, p.bn_id))
+    if field == "epsilon":
+        bn3 = dataclasses.replace(p.bn3, epsilon=v)
+    else:
+        vec = getattr(p.bn3, field).copy()
+        vec[0] = v
+        bn3 = dataclasses.replace(p.bn3, **{field: vec})
+    return msrep_fuse(dataclasses.replace(p, bn3=bn3))
 
 
-VALUES = {"nan": math.nan, "inf": math.inf, "zero": 0, "negative": -1}
+VALUES = {"nan": math.nan, "inf": math.inf, "zero": 0, "negative": -1, "string": "1", "bool": True}
+_REFUSED = (ValueError,) * 6
+#: A scalar real argument with no range of its own: only 0 and -1 pass.
+_REAL = (ValueError, ValueError, None, None, ValueError, ValueError)
+#: A non-negative real or integer scalar.
+_NON_NEGATIVE = (ValueError, ValueError, None, ValueError, ValueError, ValueError)
+#: A real array checked only for finiteness.
+_FINITE_ARRAY = (ValueError, ValueError, None, None, None, None)
 # id -> (value -> call, the error type for each of VALUES in order, or
 # None where the value is accepted).
 PROBES = {
-    "BinaryMask": (lambda v: nmvg.BinaryMask(np.full((2, 2), v)), (ValueError, ValueError, None, ValueError)),
-    "DetectionBox.cx": (lambda v: nmvg.DetectionBox(v, 1, 1, 1, 0.5), (ValueError, ValueError, None, None)),
-    "DetectionBox.w": (lambda v: nmvg.DetectionBox(1, 1, v, 1, 0.5), (ValueError,) * 4),
-    "DetectionBox.score": (lambda v: nmvg.DetectionBox(1, 1, 1, 1, v), (ValueError,) * 4),
+    "BinaryMask": (lambda v: nmvg.BinaryMask(np.full((2, 2), v)), (ValueError, ValueError, None, ValueError, ValueError, None)),
+    "DetectionBox.cx": (lambda v: nmvg.DetectionBox(v, 1, 1, 1, 0.5), _REAL),
+    "DetectionBox.w": (lambda v: nmvg.DetectionBox(1, 1, v, 1, 0.5), _REFUSED),
+    "DetectionBox.score": (lambda v: nmvg.DetectionBox(1, 1, 1, 1, v), _REFUSED),
     "EnergyTrace.trained": (
         lambda v: nmvg.EnergyTrace(("s",), np.array([v]), np.zeros(1), 1),
-        (ValueError, ValueError, None, ValueError),
+        (ValueError, ValueError, None, ValueError, None, None),
     ),
-    "EnergyTrace.tau_evals": (lambda v: nmvg.EnergyTrace(("s",), np.ones(1), np.zeros(1), v), (ValueError,) * 4),
-    "EvalResult.ap50": (lambda v: nmvg.EvalResult(v, 0.0, 0.0), (ValueError, ValueError, None, ValueError)),
-    "EvalResult.ar50_95": (lambda v: nmvg.EvalResult(50.0, 0.0, v), (ValueError, ValueError, None, ValueError)),
-    "LossConfig.gamma_res": (lambda v: nmvg.LossConfig(gamma_res=v), (ValueError, ValueError, None, ValueError)),
-    "LossConfig.tau2": (lambda v: nmvg.LossConfig(tau2=v), (ValueError, ValueError, None, None)),
+    "EnergyTrace.tau_evals": (lambda v: nmvg.EnergyTrace(("s",), np.ones(1), np.zeros(1), v), _REFUSED),
+    "EvalResult.ap50": (lambda v: nmvg.EvalResult(v, 0.0, 0.0), _NON_NEGATIVE),
+    "EvalResult.ar50_95": (lambda v: nmvg.EvalResult(50.0, 0.0, v), _NON_NEGATIVE),
     "Model.forward": (
         lambda v: _MODEL32.forward(np.full((1, 3, 32, 32), v, np.float32), np.zeros((1, 3, 32, 32)), _TOKENS32),
-        (ValueError, ValueError, None, None),
+        _FINITE_ARRAY,
     ),
-    "RunConfig.mask_thresh": (lambda v: nmvg.RunConfig(mask_thresh=v), (ValueError, ValueError, None, None)),
-    "RunConfig.head_scale": (lambda v: nmvg.RunConfig(head_scale=v), (ValueError,) * 4),
-    "UncertaintyWeights.log_sigma2": (lambda v: nmvg.UncertaintyWeights(0.0, v), (ValueError, ValueError, None, None)),
-    "UncertaintyWeights.from_sigmas": (lambda v: nmvg.UncertaintyWeights.from_sigmas(1.0, v), (ValueError,) * 4),
+    "RunConfig.score_thresh": (lambda v: nmvg.RunConfig(score_thresh=v), _REAL),
+    "RunConfig.mask_thresh": (lambda v: nmvg.RunConfig(mask_thresh=v), _REAL),
+    "RunConfig.head_scale": (lambda v: nmvg.RunConfig(head_scale=v), _REFUSED),
+    "UncertaintyWeights.log_sigma2": (lambda v: nmvg.UncertaintyWeights(0.0, v), _REAL),
+    "UncertaintyWeights.from_sigmas": (lambda v: nmvg.UncertaintyWeights.from_sigmas(1.0, v), _REFUSED),
     "WeightArchive": (
         lambda v: nmvg.WeightArchive(entries={"x": np.array([v])}),
-        (nmvg.NonFiniteError, nmvg.NonFiniteError, None, None),
+        (nmvg.NonFiniteError, nmvg.NonFiniteError, None, None, None, None),
     ),
     "average_precision.gt_h": (
         lambda v: nmvg.average_precision([[nmvg.DetectionBox(1, 1, 1, 1, 0.5)]], [[(1, 1, 1, v)]]),
-        (ValueError,) * 4,
+        _REFUSED,
     ),
-    "box_iou.cy": (lambda v: nmvg.box_iou((0, 0, 1, 1), (0, v, 1, 1)), (ValueError, ValueError, None, None)),
-    "decode_boxes.r": (lambda v: decode_boxes(_HEAT, _ZERO, _ZERO, r=v, k=3, score_thresh=0.5), (ValueError,) * 4),
-    "decode_boxes.k": (lambda v: decode_boxes(_HEAT, _ZERO, _ZERO, r=4, k=v, score_thresh=0.5), (ValueError,) * 4),
+    "box_iou.cy": (lambda v: nmvg.box_iou((0, 0, 1, 1), (0, v, 1, 1)), _REAL),
+    "decode_boxes.r": (lambda v: decode_boxes(_HEAT, _ZERO, _ZERO, r=v, k=3, score_thresh=0.5), _REFUSED),
+    "decode_boxes.k": (lambda v: decode_boxes(_HEAT, _ZERO, _ZERO, r=4, k=v, score_thresh=0.5), _REFUSED),
+    "decode_boxes.score_thresh": (lambda v: decode_boxes(_HEAT, _ZERO, _ZERO, r=4, k=3, score_thresh=v), _REAL),
     "decode_boxes.sizes": (
         lambda v: decode_boxes(_HEAT, np.full_like(_ZERO, v), _ZERO, r=4, k=3, score_thresh=0.5),
-        (ValueError, ValueError, None, None),
+        _FINITE_ARRAY,
     ),
     "decode_boxes.offsets": (
         lambda v: decode_boxes(_HEAT, _ZERO, np.full_like(_ZERO, v), r=4, k=3, score_thresh=0.5),
-        (ValueError, ValueError, None, None),
+        _FINITE_ARRAY,
     ),
+    "generate_archive.seed": (lambda v: nmvg.generate_archive(_CFG32, v), _NON_NEGATIVE),
     "mask_miou": (
         lambda v: nmvg.mask_miou([np.full((2, 2), v)], [np.zeros((2, 2))]),
-        (ValueError, ValueError, None, ValueError),
+        (ValueError, ValueError, None, ValueError, ValueError, None),
     ),
     "mept.perf": (
         lambda v: nmvg.mept([v], nmvg.EnergyTrace(("s",), np.array([2.0]), np.array([1.0]), 1)),
-        (ValueError, ValueError, None, None),
+        _FINITE_ARRAY,
     ),
-    "msrep_fuse.running_var": (_msrep_var, (ValueError, None, None, ValueError)),
-    "total_loss.l_res": (lambda v: nmvg.total_loss(1.0, v), (ValueError, ValueError, None, None)),
+    "msrep_fuse.gamma": (lambda v: _msrep_bn("gamma", v), _FINITE_ARRAY),
+    "msrep_fuse.running_mean": (lambda v: _msrep_bn("running_mean", v), _FINITE_ARRAY),
+    "msrep_fuse.running_var": (
+        lambda v: _msrep_bn("running_var", v),
+        (ValueError, ValueError, None, ValueError, None, None),
+    ),
+    "msrep_fuse.epsilon": (lambda v: _msrep_bn("epsilon", v), _NON_NEGATIVE),
+    "total_loss.l_rec": (lambda v: nmvg.total_loss(v, 1.0), _REAL),
+    "total_loss.l_res": (lambda v: nmvg.total_loss(1.0, v), _REAL),
+    # scalar arguments outside nmvg.__all__
+    "gaussian_target.centers": (lambda v: gaussian_target([(v, 1)], [(2, 2)], 4, 4), _NON_NEGATIVE),
+    "gaussian_target.sizes": (lambda v: gaussian_target([(1, 1)], [(2, v)], 4, 4), _NON_NEGATIVE),
+    "offset_loss.downsample": (lambda v: offset_loss(np.zeros((2, 4, 4)), np.array([[1.0, 1.0]]), v), _REFUSED),
+    "upsample.factor": (
+        lambda v: upsample(np.zeros((1, 1, 2, 2), np.float32), v),
+        (ValueError, ValueError, ShapeError, ShapeError, ValueError, ValueError),
+    ),
+}
+
+
+#: The name a scalar argument's NaN, inf, string or bool refusal gives.
+NAMED = {
+    "DetectionBox.cx": "cx",
+    "DetectionBox.w": "w",
+    "DetectionBox.score": "score",
+    "EnergyTrace.tau_evals": "tau_evals",
+    "EvalResult.ap50": "ap50",
+    "EvalResult.ar50_95": "ar50_95",
+    "RunConfig.score_thresh": "score_thresh",
+    "RunConfig.mask_thresh": "mask_thresh",
+    "RunConfig.head_scale": "head_scale",
+    "UncertaintyWeights.log_sigma2": "log_sigma2",
+    "UncertaintyWeights.from_sigmas": "sigma2",
+    "average_precision.gt_h": "box h",
+    "box_iou.cy": "box cy",
+    "decode_boxes.r": "r",
+    "decode_boxes.k": "k",
+    "decode_boxes.score_thresh": "score_thresh",
+    "generate_archive.seed": "seed",
+    "msrep_fuse.epsilon": "epsilon",
+    "total_loss.l_rec": "l_rec",
+    "total_loss.l_res": "l_res",
+    "gaussian_target.centers": "center col",
+    "gaussian_target.sizes": "size height",
+    "offset_loss.downsample": "downsample",
+    "upsample.factor": "factor",
 }
 
 
 class TestExportedCallablesProbe:
     @pytest.mark.parametrize("value", list(VALUES))
     @pytest.mark.parametrize("case", list(PROBES))
-    def test_nan_inf_zero_and_negative(self, case, value):
+    def test_nan_inf_zero_negative_string_and_bool(self, case, value):
         call, expected = PROBES[case]
         error = expected[list(VALUES).index(value)]
         if error is None:
             call(VALUES[value])
-        else:
-            with pytest.raises(error):
-                call(VALUES[value])
+            return
+        named = case in NAMED and value in ("nan", "inf", "string", "bool")
+        with pytest.raises(error, match=rf"(^|\s){NAMED[case]} must" if named else None):
+            call(VALUES[value])

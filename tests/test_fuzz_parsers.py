@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from nmvg.archive import MAGIC, VERSION, ArchiveError, load_archive
 from nmvg.encoders import load_vocab
-from nmvg.losses import LossConfig
 from nmvg.metrics import EnergyTrace
 from nmvg.model import RunConfig
 from nmvg.rasters import RasterError, read_boxes, read_image, read_mask, read_radar
@@ -104,12 +103,10 @@ def test_run_config_from_file(fuzz_file, data):
     _parse(fuzz_file, data, RunConfig.from_file)
 
 
-_NON_NEGATIVE = ("alpha_conf", "beta_conf", "alpha_res", "gamma_res")
 #: Every float setting, with the least value it accepts.
 _FLOAT_SETTINGS = [
     (RunConfig, "score_thresh", -math.inf),
     (RunConfig, "mask_thresh", -math.inf),
-    *((LossConfig, name, 0.0 if name in _NON_NEGATIVE else -math.inf) for name in LossConfig.__dataclass_fields__),
 ]
 
 

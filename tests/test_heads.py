@@ -42,6 +42,14 @@ class TestDetectionBox:
         with pytest.raises(ValueError, match="finite"):
             DetectionBox(cx, cy, 1, 1, 0.5)
 
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "score"])
+    @pytest.mark.parametrize("bad", ["1", True])
+    def test_non_real_field_rejected(self, field, bad):
+        """DetectionBox(cx="1") was accepted and stored as 1.0."""
+        fields = {"cx": 0.5, "cy": 0.5, "w": 1.0, "h": 1.0, "score": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            DetectionBox(**fields)
+
     @pytest.mark.parametrize("score", [0.0, 1.0, -0.1, 1.5])
     def test_score_open_interval(self, score):
         with pytest.raises(ValueError):
@@ -255,6 +263,9 @@ class TestDecodeBoxes:
             (-4, 0.5, 0.5, "ratio r must be positive"),
             (4, np.nan, 0.5, "score_thresh must be finite"),
             (4, np.inf, 0.5, "score_thresh must be finite"),
+            (4, "0.5", 0.5, "score_thresh must be a real number"),
+            (np.inf, 0.5, 0.5, "r must be finite"),
+            (True, 0.5, 0.5, "r must be a real number"),
             (4, 0.5, np.nan, "heatmap holds non-finite values"),
             (4, 0.5, np.inf, "heatmap holds non-finite values"),
         ],
@@ -325,6 +336,14 @@ class TestMsRep:
                 bn3=rand_bn(rng, 2),
                 conv1=rand_conv(rng, 2, 1, 1, 1, groups=2),
             )
+
+    @pytest.mark.parametrize("field", ["gamma", "beta", "running_mean", "epsilon"])
+    def test_non_finite_bn_refused_before_the_fold(self, field):
+        """A NaN BN statistic, or epsilon=nan, folded into a NaN kernel."""
+        p = rand_msrep(np.random.default_rng(33), 2)
+        bad = np.nan if field == "epsilon" else np.where([True, False], np.nan, getattr(p.bn1, field))
+        with pytest.raises(ValueError, match="must be finite"):
+            msrep_fuse(replace(p, bn1=replace(p.bn1, **{field: bad})))
 
     def test_fuse_requires_depthwise(self):
         rng = np.random.default_rng(32)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from nmvg.losses import (
+    ALPHA_CONF,
+    ALPHA_RES,
+    BETA_CONF,
+    DICE_SMOOTH,
+    GAMMA_RES,
+    LAMBDAS,
+    TAUS,
     HeatmapTarget,
-    LossConfig,
     UncertaintyWeights,
     _gaussian_radius,
     ciou_wh_loss,
@@ -21,17 +27,13 @@ from nmvg.losses import (
 from oracles import ciou_ref, fd_grad, rel_err
 
 
-class TestLossConfig:
-    def test_defaults(self):
-        cfg = LossConfig()
-        assert (cfg.alpha_conf, cfg.beta_conf) == (2.0, 4.0)
-        assert (cfg.tau1, cfg.tau2, cfg.tau3) == (1.0, 0.1, 1.0)
-        assert (cfg.alpha_res, cfg.gamma_res) == (0.25, 2.0)
-        assert (cfg.lambda1, cfg.lambda2) == (1.0, 1.0)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="gamma_res"):
-            LossConfig(gamma_res=-1.0)
+class TestLossConstants:
+    def test_paper_values(self):
+        assert (ALPHA_CONF, BETA_CONF) == (2.0, 4.0)
+        assert TAUS == (1.0, 0.1, 1.0)
+        assert (ALPHA_RES, GAMMA_RES) == (0.25, 2.0)
+        assert LAMBDAS == (1.0, 1.0)
+        assert DICE_SMOOTH == 1.0
 
 
 class TestUncertaintyWeights:
@@ -47,7 +49,7 @@ class TestUncertaintyWeights:
     @pytest.mark.parametrize("name,sigmas", [("sigma1", (math.nan, 1.0)), ("sigma2", (1.0, math.inf))])
     def test_non_finite_sigma_rejected(self, name, sigmas):
         """A NaN sigma was stored as a NaN log-sigma."""
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             UncertaintyWeights.from_sigmas(*sigmas)
 
     @pytest.mark.parametrize(
@@ -56,12 +58,15 @@ class TestUncertaintyWeights:
             ("log_sigma1", (800.0, 0.0)),  # sigma overflows: sigma1 raised OverflowError
             ("log_sigma2", (0.0, 400.0)),  # sigma is finite, sigma² is not
             ("log_sigma1", (-400.0, 0.0)),  # sigma² underflows to zero
-            ("log_sigma2", (0.0, math.nan)),
-            ("log_sigma1", (math.inf, 0.0)),
         ],
     )
     def test_log_sigma_out_of_range_rejected(self, name, log_sigmas):
         with pytest.raises(ValueError, match=f"{name} must give a finite positive sigma"):
+            UncertaintyWeights(*log_sigmas)
+
+    @pytest.mark.parametrize("name,log_sigmas", [("log_sigma2", (0.0, math.nan)), ("log_sigma1", (math.inf, 0.0))])
+    def test_non_finite_log_sigma_rejected(self, name, log_sigmas):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             UncertaintyWeights(*log_sigmas)
 
 
@@ -110,6 +115,27 @@ class TestGaussianTarget:
         with pytest.raises(ValueError):
             gaussian_target([(1, 1)], [], h=4, w=4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_size_rejected(self, bad):
+        """A NaN or infinite size gave a NaN heatmap."""
+        with pytest.raises(ValueError, match="size width must be finite"):
+            gaussian_target([(1, 1)], [(bad, 2)], h=4, w=4)
+
+    def test_negative_size_rejected(self):
+        """A negative size gave a negative radius, or a bare math domain error."""
+        with pytest.raises(ValueError, match=r"size \(2.0, -1.0\) must not be negative"):
+            gaussian_target([(1, 1)], [(2, -1)], h=4, w=4)
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+    def test_non_integer_center_rejected(self, bad):
+        """A centre of 2.7 was truncated to cell 2."""
+        with pytest.raises(ValueError, match="center row must be an integer"):
+            gaussian_target([(1, bad)], [(2, 2)], h=4, w=4)
+
+    def test_numpy_integer_center_accepted(self):
+        t = gaussian_target([(np.int64(1), np.int32(2))], [(np.float32(2), 2)], h=4, w=4)
+        assert t.centers == ((1, 2),) and t.heatmap[0, 2, 1] == 1.0
+
 
 class TestConfLoss:
     def test_hand_single_positive_cell(self):
@@ -125,12 +151,10 @@ class TestConfLoss:
         assert not grad.any()
 
     def test_background_weighting_uses_beta(self):
-        y = np.array([[0.5]])
         p = np.array([[0.4]])
-        v2, _ = conf_loss(p, y, LossConfig(beta_conf=2.0))
-        v4, _ = conf_loss(p, y, LossConfig(beta_conf=4.0))
-        want_ratio = 0.5**2 / 0.5**4
-        assert v2 / v4 == pytest.approx(want_ratio)
+        v_half, _ = conf_loss(p, np.array([[0.5]]))
+        v_zero, _ = conf_loss(p, np.array([[0.0]]))
+        assert v_half / v_zero == pytest.approx(0.5**BETA_CONF)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_finite_differences(self, seed):
@@ -154,13 +178,13 @@ class TestConfLoss:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
     @pytest.mark.parametrize("where", ["prediction", "target"])
     def test_non_finite_or_out_of_range_input_rejected(self, bad, where):
-        """A NaN gave a quiet NaN value, and so did a target of 1.5 under a
-        fractional beta; both arguments are probabilities."""
+        """A NaN gave a quiet NaN value; both arguments are probabilities,
+        so a value outside [0, 1] is refused as well."""
         p = np.full((3, 3), 0.4)
         y = np.full((3, 3), 0.2)
         {"prediction": p, "target": y}[where][1, 1] = bad
         with pytest.raises(ValueError, match=f"conf_loss {where} must"):
-            conf_loss(p, y, LossConfig(beta_conf=2.5))
+            conf_loss(p, y)
 
     def test_clamped_cells_logged(self, caplog):
         with caplog.at_level("WARNING", logger="nmvg.losses"):
@@ -213,6 +237,12 @@ class TestOffsetLoss:
     def test_center_outside_grid_rejected(self):
         with pytest.raises(ValueError):
             offset_loss(np.zeros((2, 4, 4)), [(100.0, 1.0)], downsample=4)
+
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4"])
+    def test_non_integer_downsample_rejected(self, bad):
+        """downsample=2.5 and downsample=True were accepted."""
+        with pytest.raises(ValueError, match="downsample must be an integer"):
+            offset_loss(np.zeros((2, 16, 16)), [(41.2, 49.6)], downsample=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -377,19 +407,22 @@ class TestFocalSegLoss:
 
 class TestAssembly:
     def test_rec_loss_uses_taus(self):
-        cfg = LossConfig(tau1=2.0, tau2=0.5, tau3=3.0)
-        assert rec_loss(1.0, 2.0, 3.0, cfg) == pytest.approx(2.0 + 1.0 + 9.0)
+        assert (rec_loss(1.0, 0.0, 0.0), rec_loss(0.0, 1.0, 0.0), rec_loss(0.0, 0.0, 1.0)) == TAUS
 
     def test_rec_loss_default_taus(self):
         assert rec_loss(1.0, 1.0, 1.0) == pytest.approx(1.0 + 0.1 + 1.0)
 
     def test_res_loss_uses_lambdas(self):
-        cfg = LossConfig(lambda1=0.5, lambda2=2.0)
-        assert res_loss(4.0, 3.0, cfg) == pytest.approx(2.0 + 6.0)
+        assert (res_loss(1.0, 0.0), res_loss(0.0, 1.0)) == LAMBDAS
 
     def test_total_hand_case(self):
         u = UncertaintyWeights.from_sigmas(1.0, 2.0)
         assert total_loss(2.0, 4.0, u) == pytest.approx(1.5 + math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("name,terms", [("l_rec", ("1.0", 1.0)), ("l_res", (1.0, True))])
+    def test_total_non_real_term_rejected(self, name, terms):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            total_loss(*terms)
 
     @pytest.mark.parametrize("name,terms", [("l_rec", (math.nan, 1.0)), ("l_res", (1.0, -math.inf))])
     def test_total_non_finite_term_rejected(self, name, terms):

@@ -220,6 +220,12 @@ class TestGenerateArchive:
         assert not small_archive.get("tmdf.stage1.deform.offset.kernel").any()
         assert not small_archive.get("enmoe.stage0.theta1_raw").any()
 
+    @pytest.mark.parametrize("seed,message", [(1.5, "seed must be an integer"), (True, "seed must be an integer"), (-1, "seed must be >= 0")])
+    def test_bad_seed_rejected(self, seed, message):
+        """seed=1.5 raised numpy's TypeError and seed=-1 numpy's ValueError."""
+        with pytest.raises(ValueError, match=message):
+            generate_archive(SMALL, seed)
+
     def test_covers_declared_shapes_exactly(self, small_archive):
         shapes = parameter_shapes(SMALL)
         assert set(small_archive.entries) == set(shapes)

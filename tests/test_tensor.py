@@ -25,6 +25,7 @@ from nmvg.tensor import (
     BNParams,
     ConvParams,
     ShapeError,
+    _as_real,
     _sigmoid,
     activation,
     batchnorm_inference,
@@ -654,6 +655,23 @@ class TestCorePool:
         tensor._pin_blas()
 
 
+class TestAsReal:
+    @pytest.mark.parametrize("value", [0, -3, 0.5, np.float32(0.25), np.int64(7), 5e-324])
+    def test_finite_reals_stored_as_float(self, value):
+        got = _as_real("x", value)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("value", ["0.5", True, np.True_, None, np.array(0.5), 1j])
+    def test_non_real_rejected(self, value):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            _as_real("x", value)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, np.float32(np.inf), 10**400])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="x must be finite"):
+            _as_real("x", value)
+
+
 class TestBatchnorm:
     def test_identity_params(self):
         x = np.random.default_rng(3).standard_normal((1, 2, 3, 3)).astype(np.float32)
@@ -707,6 +725,24 @@ class TestBatchnorm:
                 running_mean=np.zeros(2, dtype=np.float32),
                 running_var=np.array([1.0, np.nan], dtype=np.float32),
             )
+
+    @pytest.mark.parametrize("field", ["gamma", "beta", "running_mean", "running_var"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_statistic_rejected(self, field, bad):
+        """Only a NaN running_var was refused; the rest folded into a NaN kernel."""
+        vectors = {name: np.ones(2, dtype=np.float32) for name in ("gamma", "beta", "running_mean", "running_var")}
+        vectors[field][1] = bad
+        nan_var = field == "running_var" and np.isnan(bad)
+        message = "running_var contains negative or NaN" if nan_var else "running_mean and running_var must be finite"
+        with pytest.raises(ValueError, match=message):
+            BNParams(**vectors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "1e-5", True])
+    def test_non_real_or_non_finite_epsilon_rejected(self, bad):
+        """epsilon=nan passed the `epsilon < 0` check."""
+        ones = np.ones(1, dtype=np.float32)
+        with pytest.raises(ValueError, match="epsilon must be"):
+            BNParams(gamma=ones, beta=ones, running_mean=ones, running_var=ones, epsilon=bad)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -1126,6 +1162,12 @@ class TestUpsample:
         got = upsample(frozen, 2)
         assert np.array_equal(frozen, x)
         assert np.array_equal(got, upsample_bilinear_corners(x, 2))
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, 2.5, 2.0, True, "2"])
+    def test_non_integer_factor_rejected(self, factor):
+        """upsample(x, inf) raised OverflowError."""
+        with pytest.raises(ValueError, match="factor must be an integer"):
+            upsample(np.zeros((1, 1, 2, 2), dtype=np.float32), factor)
 
     def test_bad_factor_and_mode_rejected(self):
         """Upsampling is bilinear only: a mode argument is not accepted."""
